@@ -33,29 +33,13 @@ class optional_build_ext(build_ext):
         )
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print(
-            "WARNING: Cython not available; skipping the compiled kernels",
-            file=sys.stderr,
+setup(
+    ext_modules=[
+        Extension(
+            "turantools._core",
+            sources=["src/turantools/_core.c"],
+            extra_compile_args=["-O3"],
         )
-        return []
-    ext = Extension(
-        "turantools._core",
-        sources=["src/turantools/_core.pyx"],
-        extra_compile_args=["-O3"],
-    )
-    return cythonize(
-        [ext],
-        compiler_directives={
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-            "language_level": "3",
-        },
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+    ],
+    cmdclass={"build_ext": optional_build_ext},
+)

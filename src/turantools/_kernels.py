@@ -1,9 +1,9 @@
 """Select the bit-kernel backend at import time.
 
-The compiled extension ``turantools._core`` is preferred; the
-pure-Python twin ``turantools._core_py`` is used when the extension is
-missing or when ``TURANTOOLS_PURE_PYTHON`` is set (the benchmark uses
-the env var to compare both).
+The compiled extension ``turantools._core`` (built from ``_core.c``)
+is preferred; the pure-Python twin ``turantools._core_py`` is used when
+the extension is missing or when ``TURANTOOLS_PURE_PYTHON`` is set, e.g.
+to time the twin on an install that has the extension.
 """
 
 from __future__ import annotations

@@ -6,18 +6,20 @@ diagnostics and counts go to stderr.  Exit codes: 0 ok, 2 usage,
 3 parse error, 4 size cap, 1 internal failure.
 
 Environment overrides: JOBS (default worker count) and TOL (default
-numeric tolerance).
+numeric tolerance).  A bad value, from the environment or the command
+line, is a usage error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import __version__
-from .enumeration import default_jobs, generate
+from .enumeration import generate
 from .errors import ParseError, SizeCapError, TuranToolsError
 from .extremal import build_report, turan_edges, verify_containment
 from .graphs import from_graph6, to_graph6, turan_parts
@@ -39,14 +41,29 @@ EXIT_PARSE = 3
 EXIT_SIZE = 4
 
 
-def _default_tol() -> float:
-    env = os.environ.get("TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            return DEFAULT_TOL
-    return DEFAULT_TOL
+def _jobs(text: str) -> int:
+    """--jobs / JOBS: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = None
+    if jobs is None or jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count (--jobs or JOBS) must be an integer >= 1, got {text!r}"
+        )
+    return jobs
+
+
+def _tol(text: str) -> float:
+    """--tol / TOL: a finite tolerance.  A NaN tolerance never passes the
+    convergence test, so every graph would run the full sweep cap."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not math.isfinite(tol):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
+    return tol
 
 
 def _fmt(x: float) -> str:
@@ -54,6 +71,9 @@ def _fmt(x: float) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # string defaults go through type=, so bad env values exit 2 as well
+    jobs = os.environ.get("JOBS") or "1"
+    tol = os.environ.get("TOL") or repr(DEFAULT_TOL)
     parser = argparse.ArgumentParser(
         prog="turantools",
         description="Edge-extremal and spectral-extremal forbidden-subgraph toolkit",
@@ -65,32 +85,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid", help="forbidden-graph spec (K3, F2, F2,4, g6:...)")
     p.add_argument("--out", help="write graph6 lines to this file instead of stdout")
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=jobs)
 
     p = sub.add_parser("extremal", help="ex(n,F), Ex(n,F), and the spectral argmax")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=default_jobs())
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--jobs", type=_jobs, default=jobs)
+    p.add_argument("--tol", type=_tol, default=tol)
 
     p = sub.add_parser("verify", help="containment table Ex_sp vs Ex over a range of n")
     p.add_argument("--forbid", required=True)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=default_jobs())
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--jobs", type=_jobs, default=jobs)
+    p.add_argument("--tol", type=_tol, default=tol)
 
     p = sub.add_parser("spectral", help="spectral radius and Perron vector of one graph")
     p.add_argument("--g6", required=True)
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--tol", type=_tol, default=tol)
     p.add_argument("--exact", action="store_true", help="certify via exact polynomial bisection")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("secular", help="largest secular-equation root for part sizes")
     p.add_argument("--parts", required=True, help="comma-separated part sizes, e.g. 2,2,1")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tol, default=1e-12)
 
     p = sub.add_parser("turan", help="Turan graph facts: edges, radius, closed-form vector")
     p.add_argument("--n", type=int, required=True)

@@ -33,7 +33,8 @@ def _levels(n: int, prune: ForbiddenSpec | None, jobs: int) -> list[tuple[tuple[
     level = [((0,), _kernels.canonical_bytes(1, (0,)))]
     if prune is not None and not is_free(Graph.from_adj((0,)), prune):
         return []
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    workers = min(jobs, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for size in range(1, n):
             tasks = [(size, adj, canon, fn, fadj) for adj, canon in level]
@@ -42,7 +43,7 @@ def _levels(n: int, prune: ForbiddenSpec | None, jobs: int) -> list[tuple[tuple[
                 for t in tasks:
                     nxt.extend(_expand_parent(t))
             else:
-                chunk = max(1, len(tasks) // (jobs * 8))
+                chunk = max(1, len(tasks) // (workers * 8))
                 for batch in pool.map(_expand_parent, tasks, chunksize=chunk):
                     nxt.extend(batch)
             nxt.sort(key=lambda item: item[1])
@@ -100,13 +101,3 @@ def ingest(
                     continue
                 seen.add(form)
             yield g
-
-
-def default_jobs() -> int:
-    env = os.environ.get("JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1

@@ -27,7 +27,17 @@ from .spectral import (
     spectral_radius,
 )
 
-TIE_WINDOW = 1e-9  # float gaps below this escalate to exact comparison
+TIE_WINDOW = 1e-9  # floor of the tie window, see _tie_window
+
+
+def _tie_window(n: int, tol: float) -> float:
+    """Float gap below which two radii of n-vertex graphs may be equal.
+
+    Power iteration stops once ||Ax - lam x||_inf <= tol with
+    ||x||_inf = 1, so lam lies within sqrt(n) * tol of an eigenvalue of
+    A; two radii closer than twice that go to exact comparison.
+    """
+    return max(TIE_WINDOW, 2 * math.sqrt(n) * tol)
 
 
 def turan_edges(n: int, r: int) -> int:
@@ -72,6 +82,7 @@ class ExtremalReport:
 class _Scan:
     """Single enumeration pass tracking both extremal sets."""
 
+    window: float
     ex: int = -1
     edge_best: list[Graph] = field(default_factory=list)
     lam: float = -math.inf
@@ -79,7 +90,7 @@ class _Scan:
 
 
 def _scan(n: int, spec: ForbiddenSpec, tol: float, jobs: int) -> _Scan:
-    scan = _Scan()
+    scan = _Scan(window=_tie_window(n, tol))
     for g in generate(n, prune=spec, jobs=jobs):
         if g.m > scan.ex:
             scan.ex = g.m
@@ -97,20 +108,20 @@ def _scan(n: int, spec: ForbiddenSpec, tol: float, jobs: int) -> _Scan:
         if res.lam > scan.lam:
             scan.lam = res.lam
             scan.lam_candidates = [
-                c for c in scan.lam_candidates if c[0] >= scan.lam - TIE_WINDOW
+                c for c in scan.lam_candidates if c[0] >= scan.lam - scan.window
             ]
-        if res.lam >= scan.lam - TIE_WINDOW:
+        if res.lam >= scan.lam - scan.window:
             scan.lam_candidates.append((res.lam, g, res))
     return scan
 
 
-def _certify_argmax(candidates: list[tuple[float, Graph, SpectralResult]]):
+def _certify_argmax(candidates: list[tuple[float, Graph, SpectralResult]], window: float):
     """Reduce tie-window finalists to the exact argmax set.
 
     Returns (winners, exact) where exact is True iff the set was decided
     by exact polynomial comparison rather than a clear float gap.
     """
-    finalists = [c for c in candidates if c[0] >= max(x[0] for x in candidates) - TIE_WINDOW]
+    finalists = [c for c in candidates if c[0] >= max(x[0] for x in candidates) - window]
     if len(finalists) == 1:
         return finalists, False
     winners = [finalists[0]]
@@ -146,7 +157,7 @@ def spectral_ex(
     labels and ``exact`` marks an argmax certified by exact arithmetic.
     """
     scan = _scan(n, spec, tol, jobs)
-    winners, exact = _certify_argmax(scan.lam_candidates)
+    winners, exact = _certify_argmax(scan.lam_candidates, scan.window)
     lam = max(w[0] for w in winners)
     return lam, _canonical_sorted([w[1] for w in winners]), exact
 
@@ -167,7 +178,7 @@ def build_report(
 ) -> ExtremalReport:
     """Run both extremal searches once and assemble the full report."""
     scan = _scan(n, spec, tol, jobs)
-    winners, exact = _certify_argmax(scan.lam_candidates)
+    winners, exact = _certify_argmax(scan.lam_candidates, scan.window)
     lam = max(w[0] for w in winners)
     edge_members = _canonical_sorted(scan.edge_best)
     sp_members = _canonical_sorted([w[1] for w in winners])

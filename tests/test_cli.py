@@ -151,6 +151,22 @@ class TestEnvOverrides:
         args = build_parser().parse_args(["gen", "--n", "4"])
         assert args.jobs == 3
 
+    @pytest.mark.parametrize(
+        "name,value,argv",
+        [
+            ("JOBS", "abc", ["gen", "--n", "4"]),
+            ("JOBS", "0", ["extremal", "--n", "4", "--forbid", "K3"]),
+            ("TOL", "nan", ["spectral", "--g6", "D~{"]),
+            ("TOL", "oops", ["verify", "--forbid", "K3", "--n-min", "3", "--n-max", "4"]),
+        ],
+    )
+    def test_bad_env_value_exits_2(self, monkeypatch, capsys, name, value, argv):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"--{name.lower()}" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_size_cap_exits_4(self, capsys):
@@ -161,6 +177,21 @@ class TestExitCodes:
     def test_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["gen"])  # missing --n
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "4", "--jobs", "0"],
+            ["gen", "--n", "4", "--jobs", "-2"],
+            ["extremal", "--n", "4", "--forbid", "K3", "--tol", "nan"],
+            ["verify", "--forbid", "K3", "--n-min", "3", "--n-max", "4", "--tol", "inf"],
+            ["secular", "--parts", "2,2", "--tol", "nan"],
+        ],
+    )
+    def test_bad_jobs_or_tol_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_extremal_command(self, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from turantools import enumeration
 from turantools.enumeration import count_classes, generate, ingest
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import canonical_form, complete_graph, to_graph6, write_graph6_file
@@ -56,6 +57,24 @@ class TestGenerate:
         serial = [to_graph6(g) for g in generate(6, prune=K3, jobs=1)]
         parallel = [to_graph6(g) for g in generate(6, prune=K3, jobs=2)]
         assert serial == parallel
+
+    def test_worker_count_is_capped_at_cpu_count(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+        assert count_classes(5, jobs=10**6) == 34
+        assert started == [3]
 
     def test_every_labeled_graph_has_a_representative(self):
         reps = {canonical_form(g) for g in generate(5)}

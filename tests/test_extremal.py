@@ -119,6 +119,18 @@ class TestSpectralEx:
                 canonical_form(turan_graph(n, 2))
             ]
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-2])
+    @pytest.mark.parametrize(
+        "spec,n,argmax",
+        [("g6:Dhc", 8, ("G??F~{", "G?~vf_")), ("g6:Ch", 5, ("D?{", "D@K", "D`K"))],
+    )
+    def test_loose_tol_keeps_every_tied_member(self, spec, n, argmax, tol):
+        # C5-free at n=8 and P4-free at n=5 have exactly tied radii whose
+        # float values differ by more than 1e-9 at these tolerances
+        rep = build_report(n, parse_forbidden(spec), tol=tol)
+        assert rep.spectral_extremal == argmax
+        assert rep.lambda_exact
+
 
 class TestReports:
     def test_report_fields(self):
