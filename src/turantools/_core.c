@@ -9,13 +9,13 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef unsigned long long u64;
 
 #define MAXN 64
 #define MAXBYTES 252 /* 64*63/2 bits packed */
-#define MAXGENS 128
 
 static inline int popcount(u64 x) { return __builtin_popcountll(x); }
 static inline int lowbit(u64 x) { return __builtin_ctzll(x); }
@@ -38,8 +38,9 @@ typedef struct {
     unsigned char first[MAXBYTES];
     int first_order[MAXN];
     int have_first;
-    int gens[MAXGENS][MAXN]; /* discovered automorphisms, vertex -> vertex */
-    int ngens;
+    int *gens; /* ngens discovered automorphisms of n ints, vertex -> vertex */
+    int ngens, maxgens;
+    int nomem; /* growing gens failed: the search unwinds */
     int prefix[MAXN]; /* vertices individualized on the current path */
     int depth;
 } CanonState;
@@ -130,12 +131,22 @@ static void add_gen(CanonState *st, const int *order_a, const int *order_b)
         perm[order_a[i]] = order_b[i];
     for (i = 0; i < n && perm[i] == i; i++)
         ;
-    if (i == n || st->ngens >= MAXGENS)
+    if (i == n)
         return;
     for (g = 0; g < st->ngens; g++)
-        if (memcmp(st->gens[g], perm, (size_t)n * sizeof(int)) == 0)
+        if (memcmp(st->gens + (size_t)g * n, perm, (size_t)n * sizeof(int)) == 0)
             return;
-    memcpy(st->gens[st->ngens++], perm, (size_t)n * sizeof(int));
+    if (st->ngens == st->maxgens) {
+        int grown = st->maxgens ? 2 * st->maxgens : 16;
+        int *gens = realloc(st->gens, (size_t)grown * n * sizeof(int));
+        if (gens == NULL) {
+            st->nomem = 1;
+            return;
+        }
+        st->gens = gens;
+        st->maxgens = grown;
+    }
+    memcpy(st->gens + (size_t)st->ngens++ * n, perm, (size_t)n * sizeof(int));
 }
 
 static void record_leaf(CanonState *st, const int *lab)
@@ -173,7 +184,7 @@ static int uf_find(int *parent, int v)
 static void absorb_gens(const CanonState *st, int *parent, int *applied)
 {
     for (; *applied < st->ngens; (*applied)++) {
-        const int *g = st->gens[*applied];
+        const int *g = st->gens + (size_t)*applied * st->n;
         int k = 0;
         while (k < st->depth && g[st->prefix[k]] == st->prefix[k])
             k++;
@@ -221,7 +232,7 @@ static void search(CanonState *st, const int *lab_in, const char *ptn_in)
     for (int i = 0; i < n; i++)
         parent[i] = i;
     absorb_gens(st, parent, &applied);
-    for (int i = 0; i < cell_len; i++) {
+    for (int i = 0; i < cell_len && !st->nomem; i++) {
         int v = cell[i], k, pos;
         /* pick up generators discovered by earlier siblings */
         absorb_gens(st, parent, &applied);
@@ -248,7 +259,8 @@ static void search(CanonState *st, const int *lab_in, const char *ptn_in)
 
 /* Canonical form of a graph with n <= MAXN vertices into form_out;
  * order_out[i] is the vertex placed at canonical position i.  Returns the
- * form's length in bytes. */
+ * form's length in bytes, or -1 with MemoryError set when the generator
+ * store cannot grow. */
 static int run_canonical(int n, const u64 *adj, int *order_out, unsigned char *form_out)
 {
     CanonState st;
@@ -263,7 +275,8 @@ static int run_canonical(int n, const u64 *adj, int *order_out, unsigned char *f
     st.nbytes = (n * (n - 1) / 2 + 7) / 8;
     memcpy(st.adj, adj, (size_t)n * sizeof(u64));
     st.have_best = st.have_first = 0;
-    st.ngens = st.depth = 0;
+    st.gens = NULL;
+    st.ngens = st.maxgens = st.nomem = st.depth = 0;
     for (int i = 0; i < n; i++) {
         degs[i] = popcount(adj[i]);
         if (degs[i] > maxdeg)
@@ -278,6 +291,11 @@ static int run_canonical(int n, const u64 *adj, int *order_out, unsigned char *f
         ptn[i] = degs[lab[i]] == degs[lab[i + 1]];
     ptn[n - 1] = 0;
     search(&st, lab, ptn);
+    free(st.gens);
+    if (st.nomem) {
+        PyErr_NoMemory();
+        return -1;
+    }
     memcpy(order_out, st.best_order, (size_t)n * sizeof(int));
     memcpy(form_out, st.best, st.nbytes);
     return st.nbytes;
@@ -460,6 +478,8 @@ static PyObject *py_canonical_labeling(PyObject *self, PyObject *args)
     if (check_count(n, "n") < 0 || load_adj(adj_obj, adj, n) < 0)
         return NULL;
     nbytes = run_canonical(n, adj, order, form);
+    if (nbytes < 0)
+        return NULL;
     order_obj = PyTuple_New(n);
     if (order_obj == NULL)
         return NULL;
@@ -494,6 +514,8 @@ static PyObject *py_canonical_bytes(PyObject *self, PyObject *args)
     if (check_count(n, "n") < 0 || load_adj(adj_obj, adj, n) < 0)
         return NULL;
     nbytes = run_canonical(n, adj, order, form);
+    if (nbytes < 0)
+        return NULL;
     return PyBytes_FromStringAndSize((const char *)form, nbytes);
 }
 
@@ -596,6 +618,8 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         if (fn && anchored(n + 1, child, fn, fadj, n))
             continue;
         nbytes = run_canonical(n + 1, child, order, form);
+        if (nbytes < 0)
+            goto error;
         form_obj = PyBytes_FromStringAndSize((const char *)form, nbytes);
         if (form_obj == NULL)
             goto error;
@@ -612,6 +636,10 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
             int dorder[MAXN], dbytes;
             delete_vertex(n + 1, child, order[n], deleted);
             dbytes = run_canonical(n, deleted, dorder, dform);
+            if (dbytes < 0) {
+                Py_DECREF(form_obj);
+                goto error;
+            }
             accepted = dbytes == PyBytes_GET_SIZE(canon_obj)
                        && memcmp(dform, PyBytes_AS_STRING(canon_obj), dbytes) == 0;
         }

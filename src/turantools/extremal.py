@@ -11,7 +11,10 @@ results are ground truth at desk scale rather than heuristics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable
 
 from .enumeration import generate
 from .errors import NonConvergenceError
@@ -21,7 +24,6 @@ from .spectral import (
     DEFAULT_TOL,
     GREATER,
     LESS,
-    SpectralResult,
     compare_exact,
     secular_lambda,
     spectral_radius,
@@ -78,74 +80,63 @@ class ExtremalReport:
         }
 
 
-@dataclass
-class _Scan:
-    """Single enumeration pass tracking both extremal sets."""
+def _edge_argmax(graphs: Iterable[Graph]) -> tuple[int, list[Graph]]:
+    """The largest edge count and every graph attaining it, in input order."""
+    ex, members = -1, []
+    for g in graphs:
+        if g.m > ex:
+            ex, members = g.m, [g]
+        elif g.m == ex:
+            members.append(g)
+    return ex, members
 
-    window: float
-    ex: int = -1
-    edge_best: list[Graph] = field(default_factory=list)
-    lam: float = -math.inf
-    lam_candidates: list[tuple[float, Graph, SpectralResult]] = field(default_factory=list)
 
+def _scan(n: int, graphs: Iterable[Graph], tol: float) -> tuple:
+    """One pass over the n-vertex classes tracking both extremal sets.
 
-def _scan(n: int, spec: ForbiddenSpec, tol: float, jobs: int) -> _Scan:
-    scan = _Scan(window=_tie_window(n, tol))
-    for g in generate(n, prune=spec, jobs=jobs):
-        if g.m > scan.ex:
-            scan.ex = g.m
-            scan.edge_best = [g]
-        elif g.m == scan.ex:
-            scan.edge_best.append(g)
+    Returns ``(ex, edge_members, lambda_star, spectral_members, exact)``.
+    Only radii within the tie window of the running maximum are kept;
+    when more than one is left, exact polynomial comparison reduces them
+    to the argmax set and ``exact`` is True.
+    """
+    window = _tie_window(n, tol)
+    ex, edge_best = -1, []
+    lam, finalists = -math.inf, []
+    for g in graphs:
+        if g.m > ex:
+            ex, edge_best = g.m, [g]
+        elif g.m == ex:
+            edge_best.append(g)
         try:
-            res = spectral_radius(g, tol)
+            r = spectral_radius(g, tol).lam
         except NonConvergenceError as exc:
             raise NonConvergenceError(
                 f"power iteration stalled on {to_graph6(g)}: {exc}",
                 best=exc.best,
                 iterations=exc.iterations,
             ) from exc
-        if res.lam > scan.lam:
-            scan.lam = res.lam
-            scan.lam_candidates = [
-                c for c in scan.lam_candidates if c[0] >= scan.lam - scan.window
-            ]
-        if res.lam >= scan.lam - scan.window:
-            scan.lam_candidates.append((res.lam, g, res))
-    return scan
-
-
-def _certify_argmax(candidates: list[tuple[float, Graph, SpectralResult]], window: float):
-    """Reduce tie-window finalists to the exact argmax set.
-
-    Returns (winners, exact) where exact is True iff the set was decided
-    by exact polynomial comparison rather than a clear float gap.
-    """
-    finalists = [c for c in candidates if c[0] >= max(x[0] for x in candidates) - window]
-    if len(finalists) == 1:
-        return finalists, False
-    winners = [finalists[0]]
+        if r > lam:
+            lam = r
+            finalists = [c for c in finalists if c[0] >= lam - window]
+        if r >= lam - window:
+            finalists.append((r, g))
+    winners = finalists[:1]
     for cand in finalists[1:]:
         verdict = compare_exact(cand[1], winners[0][1])
         if verdict == GREATER:
             winners = [cand]
         elif verdict != LESS:
             winners.append(cand)
-    return winners, True
+    lam = max(w[0] for w in winners)
+    return ex, edge_best, lam, [w[1] for w in winners], len(finalists) > 1
 
 
 def ex_number(
     n: int, spec: ForbiddenSpec, jobs: int = 1
 ) -> tuple[int, list[Graph]]:
     """Turan number ex(n, F) with all attaining classes (canonical labels)."""
-    best = -1
-    members: list[Graph] = []
-    for g in generate(n, prune=spec, jobs=jobs):
-        if g.m > best:
-            best, members = g.m, [g]
-        elif g.m == best:
-            members.append(g)
-    return best, _canonical_sorted(members)
+    ex, members = _edge_argmax(generate(n, prune=spec, jobs=jobs))
+    return ex, _canonical_sorted(members)
 
 
 def spectral_ex(
@@ -156,10 +147,8 @@ def spectral_ex(
     Returns ``(lambda_star, members, exact)``; members carry canonical
     labels and ``exact`` marks an argmax certified by exact arithmetic.
     """
-    scan = _scan(n, spec, tol, jobs)
-    winners, exact = _certify_argmax(scan.lam_candidates, scan.window)
-    lam = max(w[0] for w in winners)
-    return lam, _canonical_sorted([w[1] for w in winners]), exact
+    _, _, lam, winners, exact = _scan(n, generate(n, prune=spec, jobs=jobs), tol)
+    return lam, _canonical_sorted(winners), exact
 
 
 def _canonical_sorted(graphs: list[Graph]) -> list[Graph]:
@@ -173,35 +162,39 @@ def _reference_note(spec: ForbiddenSpec) -> str | None:
     return "no external reference"
 
 
-def build_report(
-    n: int, spec: ForbiddenSpec, tol: float = DEFAULT_TOL, jobs: int = 1
-) -> ExtremalReport:
-    """Run both extremal searches once and assemble the full report."""
-    scan = _scan(n, spec, tol, jobs)
-    winners, exact = _certify_argmax(scan.lam_candidates, scan.window)
-    lam = max(w[0] for w in winners)
-    edge_members = _canonical_sorted(scan.edge_best)
-    sp_members = _canonical_sorted([w[1] for w in winners])
+def _report(n: int, spec: ForbiddenSpec, graphs: Iterable[Graph], tol: float) -> ExtremalReport:
+    """Scan the n-vertex F-free classes once and assemble the full report."""
+    ex, edge_best, lam, winners, exact = _scan(n, graphs, tol)
+    edge_members = _canonical_sorted(edge_best)
+    sp_members = _canonical_sorted(winners)
     for g in edge_members + sp_members:
         if not is_free(g, spec):
             raise RuntimeError(
                 f"extremal member {to_graph6(g)} failed the F-freeness re-check"
             )
-    edge_set = {canonical_form(g) for g in edge_members}
-    sp_set = {canonical_form(g) for g in sp_members}
+    # canonical labels: equal graph6 strings iff isomorphic
+    edge_g6 = tuple(to_graph6(g) for g in edge_members)
+    sp_g6 = tuple(to_graph6(g) for g in sp_members)
     return ExtremalReport(
         n=n,
         spec=spec.source,
-        ex=scan.ex,
-        edge_extremal=tuple(to_graph6(g) for g in edge_members),
+        ex=ex,
+        edge_extremal=edge_g6,
         lambda_star=lam,
-        spectral_extremal=tuple(to_graph6(g) for g in sp_members),
-        contained=sp_set <= edge_set,
-        excess=scan.ex - turan_edges(n, spec.r),
+        spectral_extremal=sp_g6,
+        contained=set(sp_g6) <= set(edge_g6),
+        excess=ex - turan_edges(n, spec.r),
         turan_edges=turan_edges(n, spec.r),
         lambda_exact=exact,
         reference=_reference_note(spec),
     )
+
+
+def build_report(
+    n: int, spec: ForbiddenSpec, tol: float = DEFAULT_TOL, jobs: int = 1
+) -> ExtremalReport:
+    """Run both extremal searches once and assemble the full report."""
+    return _report(n, spec, generate(n, prune=spec, jobs=jobs), tol)
 
 
 def verify_containment(
@@ -211,26 +204,21 @@ def verify_containment(
     tol: float = DEFAULT_TOL,
     jobs: int = 1,
 ) -> list[ExtremalReport]:
-    """Per-n reports over [n_min, n_max].
+    """Per-n reports over [n_min, n_max], all from one walk of the tree.
 
     Containment verdicts are recorded, never asserted: at desk scale
     the spectral argmax can legitimately sit outside the edge argmax.
     """
-    if n_min > n_max:
-        raise ValueError(f"empty range [{n_min}, {n_max}]")
-    return [build_report(n, spec, tol, jobs) for n in range(n_min, n_max + 1)]
+    levels = groupby(generate(n_max, spec, jobs, n_min=n_min), key=attrgetter("n"))
+    return [_report(n, spec, graphs, tol) for n, graphs in levels]
 
 
 def excess_estimate(
     spec: ForbiddenSpec, n_min: int, n_max: int, jobs: int = 1
 ) -> tuple[list[tuple[int, int]], str]:
     """The sequence a_n = ex(n,F) - e(T_{n,r}) plus a stabilization note."""
-    if n_min > n_max:
-        raise ValueError(f"empty range [{n_min}, {n_max}]")
-    seq = []
-    for n in range(n_min, n_max + 1):
-        ex, _ = ex_number(n, spec, jobs=jobs)
-        seq.append((n, ex - turan_edges(n, spec.r)))
+    levels = groupby(generate(n_max, spec, jobs, n_min=n_min), key=attrgetter("n"))
+    seq = [(n, _edge_argmax(graphs)[0] - turan_edges(n, spec.r)) for n, graphs in levels]
     tail = [a for _, a in seq]
     k = 1
     while k < len(tail) and tail[-1 - k] == tail[-1]:

@@ -32,15 +32,13 @@ class SpectralResult:
 
     ``vector`` is normalized so the maximum entry is exactly 1 on the
     dominant component and zero elsewhere; ``residual`` is the
-    infinity norm of A x - lambda x for the returned vector.  ``exact``
-    marks values later certified by exact polynomial bisection.
+    infinity norm of A x - lambda x for the returned vector.
     """
 
     lam: float
     vector: tuple[float, ...]
     residual: float
     iterations: int
-    exact: bool = False
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 import pytest
 
-from turantools import enumeration
 from turantools.enumeration import count_classes, generate, ingest
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import canonical_form, complete_graph, to_graph6, write_graph6_file
@@ -58,23 +57,21 @@ class TestGenerate:
         parallel = [to_graph6(g) for g in generate(6, prune=K3, jobs=2)]
         assert serial == parallel
 
-    def test_worker_count_is_capped_at_cpu_count(self, monkeypatch):
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    def test_worker_count_is_capped_at_cpu_count(self, pool_starts):
         assert count_classes(5, jobs=10**6) == 34
-        assert started == [3]
+        assert pool_starts == [3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_range_is_the_concatenation_of_sizes(self, jobs):
+        ranged = [to_graph6(g) for g in generate(7, K3, jobs, n_min=3)]
+        single = [to_graph6(g) for n in range(3, 8) for g in generate(n, K3, jobs)]
+        assert ranged == single
+
+    def test_bad_range(self):
+        with pytest.raises(SizeCapError):
+            list(generate(7, n_min=0))
+        with pytest.raises(ValueError):
+            list(generate(7, n_min=8))
 
     def test_every_labeled_graph_has_a_representative(self):
         reps = {canonical_form(g) for g in generate(5)}

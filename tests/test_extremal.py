@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from turantools import _kernels
+from turantools.errors import SizeCapError
 from turantools.extremal import (
     build_report,
     ex_number,
@@ -162,6 +164,44 @@ class TestReports:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             verify_containment(5, 4, K3)
+
+
+@pytest.fixture
+def augment_calls(monkeypatch):
+    """Count calls of the augmentation kernel."""
+    calls = []
+    real = _kernels.augment_children
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "augment_children", counting)
+    return calls
+
+
+class TestOneWalk:
+    # a walk to n expands each class on 1..n-1 vertices once
+    def test_verify_expands_each_parent_once(self, augment_calls):
+        verify_containment(5, 6, F2)
+        assert len(augment_calls) == 1 + 2 + 4 + 11 + 28
+
+    def test_excess_expands_each_parent_once(self, augment_calls):
+        excess_estimate(K3, 3, 7)
+        assert len(augment_calls) == 1 + 2 + 3 + 7 + 14 + 38
+
+    def test_verify_starts_one_pool(self, pool_starts):
+        reports = verify_containment(3, 6, K3, jobs=2)
+        assert [r.n for r in reports] == [3, 4, 5, 6]
+        assert pool_starts == [2]
+
+    def test_size_cap_checked_before_any_augmentation(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("augmentation ran before the size cap was checked")
+
+        monkeypatch.setattr(_kernels, "augment_children", fail)
+        with pytest.raises(SizeCapError):
+            verify_containment(3, 11, K3)
 
 
 class TestEdgelessExtremal:

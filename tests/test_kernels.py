@@ -22,6 +22,18 @@ from oracles import random_graph
 
 CORE_C = Path(_core_py.__file__).with_name("_core.c")
 
+# Label K_n with a compiled module loaded from argv[1]; prints the form
+# in hex, then the order.
+LABEL_COMPLETE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("turantools._core", sys.argv[1])
+core = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(core)
+n = int(sys.argv[2])
+form, order = core.canonical_labeling(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))
+print(form.hex(), *order)
+"""
+
 
 @pytest.fixture(scope="session")
 def core(tmp_path_factory):
@@ -100,6 +112,24 @@ def test_augment_parity(core):
         assert core.augment_children(
             n, g.adj, canon, k3.n, k3.adj
         ) == _core_py.augment_children(n, g.adj, canon, k3.n, k3.adj)
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_complete_graph_labels_in_bounded_time(core, n):
+    # K_n has n(n-1)/2 automorphism generators; a search that stops
+    # storing them stops pruning and runs for minutes.  A C loop cannot
+    # be interrupted in-process, hence the subprocess and its timeout.
+    proc = subprocess.run([sys.executable, "-c", LABEL_COMPLETE, core.__file__, str(n)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    form_hex, *order = proc.stdout.split()
+    pairs = n * (n - 1) // 2
+    nbytes = (pairs + 7) // 8
+    form = bytes.fromhex(form_hex)
+    assert form == (((1 << pairs) - 1) << (8 * nbytes - pairs)).to_bytes(nbytes, "big")
+    if n == 24:
+        k24 = complete_graph(24)
+        assert (form, tuple(map(int, order))) == _core_py.canonical_labeling(24, k24.adj)
 
 
 def test_labeling_reconstructs_graph(backend):
