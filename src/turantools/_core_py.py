@@ -18,10 +18,6 @@ BACKEND = "python"
 _FULL = (1 << 64) - 1
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 # ---------------------------------------------------------------------------
 # canonical labeling: individualization/refinement with automorphism pruning
 # ---------------------------------------------------------------------------
@@ -68,7 +64,7 @@ def _refine(n, adj, cells):
                     continue
                 groups = {}
                 for v in cell:
-                    groups.setdefault(_popcount(adj[v] & smask), []).append(v)
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
                 if len(groups) == 1:
                     out.append(cell)
                 else:
@@ -114,7 +110,7 @@ class _CanonSearch:
         n, adj = self.n, self.adj
         by_degree = {}
         for v in range(n):
-            by_degree.setdefault(_popcount(adj[v]), []).append(v)
+            by_degree.setdefault(adj[v].bit_count(), []).append(v)
         cells = [by_degree[d] for d in sorted(by_degree)]
         self._search(_refine(n, adj, cells), [])
         return self.best, tuple(self.best_order)
@@ -207,7 +203,7 @@ def canonical_bytes(n, adj):
 
 def _pattern_order(fn, fadj, start=None):
     """Order pattern vertices so each has many already-placed neighbors."""
-    degs = [_popcount(fadj[v]) for v in range(fn)]
+    degs = [fadj[v].bit_count() for v in range(fn)]
     order = []
     placed = 0
     if start is not None:
@@ -218,7 +214,7 @@ def _pattern_order(fn, fadj, start=None):
         for v in range(fn):
             if (placed >> v) & 1:
                 continue
-            key = (_popcount(fadj[v] & placed), degs[v], -v)
+            key = ((fadj[v] & placed).bit_count(), degs[v], -v)
             if best_key is None or key > best_key:
                 best, best_key = v, key
         order.append(best)
@@ -230,7 +226,7 @@ def _pattern_order(fn, fadj, start=None):
 
 
 def _embed(gn, gadj, fn, fadj, order, back, fdegs, first_candidates):
-    gdegs = [_popcount(gadj[v]) for v in range(gn)]
+    gdegs = [gadj[v].bit_count() for v in range(gn)]
     full = (1 << gn) - 1
     assigned = [0] * fn
     stack = [(0, first_candidates)]

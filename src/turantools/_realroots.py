@@ -1,11 +1,21 @@
 """Exact largest-root isolation and comparison for integer polynomials.
 
-Polynomials are lists of integer (or Fraction) coefficients, lowest
-degree first.  Everything here assumes the inputs are characteristic
-polynomials of symmetric integer matrices: all roots are real algebraic
-integers.  That gives one very convenient fact (a rational sample
-point that is not an integer can never be a root) which lets the
-bisection pick Sturm evaluation points without ever landing on a root.
+Polynomials are lists of integer coefficients, lowest degree first, and
+all polynomial arithmetic stays in the integers: division is
+pseudo-division and a sign test at a rational point clears its
+denominator.  ``Fraction`` appears only in sample points and interval
+endpoints.
+
+Everything here assumes the inputs are characteristic polynomials of
+symmetric integer matrices: all roots are real algebraic integers.  That
+gives one very convenient fact (a rational sample point that is not an
+integer can never be a root) which lets the bisection pick Sturm
+evaluation points without ever landing on a root.  It also makes the
+positive lead that `primitive` forces on each Sturm remainder sound: a
+square-free polynomial of degree d with d real roots has a full Sturm
+sequence (degrees d, d-1, ..., 0) whose leads are all positive, since
+its sign variations at +inf and -inf differ by d.  So the flip never
+fires on the chains built here.
 """
 
 from __future__ import annotations
@@ -21,73 +31,58 @@ def trim(p):
     return p
 
 
-def evaluate(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _divmod(a, b):
-    """Division with remainder over the rationals."""
-    a = [Fraction(c) for c in trim(a)]
-    b = [Fraction(c) for c in trim(b)]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def _pseudo_divmod(a, b):
+    """(q, r) with lead(b)**k * a == q*b + r, k = max(0, deg a - deg b + 1).
+
+    Every divisor passed here is primitive with a positive lead, so r
+    is a positive multiple of the rational remainder.
+    """
+    lead, top = b[-1], len(b) - 1
+    q = [0] * max(0, len(a) - top)
     r = a
-    while len(r) >= len(b) and trim(r):
-        shift = len(r) - len(b)
-        factor = r[-1] / b[-1]
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r = trim(r)
-    return trim(q), r
+    for shift in range(len(a) - len(b), -1, -1):
+        c = r[shift + top]
+        q = [lead * x for x in q]
+        q[shift] = c
+        r = [lead * x for x in r]
+        for i, bc in enumerate(b):
+            r[shift + i] -= c * bc
+    return trim(q), trim(r)
 
 
 def primitive(p):
-    """Scale by a positive rational to coprime integers, positive lead."""
+    """Divide by the content and make the lead positive."""
     p = trim(p)
     if not p:
         return []
-    denom = 1
-    for c in p:
-        c = Fraction(c)
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(Fraction(c) * denom) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
 
 
 def poly_gcd(a, b):
     """Greatest common divisor, returned primitive with positive lead."""
-    a, b = trim(a), trim(b)
-    while trim(b):
-        _, r = _divmod(a, b)
-        a, b = b, r
-    return primitive(a)
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, primitive(_pseudo_divmod(a, b)[1])
+    return a
 
 
 def square_free(p):
     """p with repeated roots collapsed to simple ones (primitive)."""
-    p = trim(p)
+    p = primitive(p)
     if len(p) <= 2:
-        return primitive(p)
+        return p
     g = poly_gcd(p, derivative(p))
     if len(g) == 1:
-        return primitive(p)
-    q, r = _divmod(p, g)
-    assert not trim(r), "square-free division must be exact"
+        return p
+    q, r = _pseudo_divmod(p, g)
+    assert not r, "square-free division must be exact"
     return primitive(q)
 
 
@@ -97,8 +92,7 @@ def sturm_chain(p):
     if d:
         chain.append(d)
     while len(chain[-1]) > 1:
-        _, r = _divmod(chain[-2], chain[-1])
-        r = trim(r)
+        r = _pseudo_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(primitive([-c for c in r]))
@@ -106,16 +100,17 @@ def sturm_chain(p):
 
 
 def _variations(chain, x):
+    """Sign changes along the chain at x, from p(num/den) * den**deg."""
+    num, den = x.numerator, x.denominator
     signs = []
     for p in chain:
-        v = evaluate(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
-    return count
+        acc, scale = 0, 1
+        for c in reversed(p):
+            acc = acc * num + c * scale
+            scale *= den
+        if acc:
+            signs.append(acc > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_roots(chain, lo, hi):
@@ -126,11 +121,7 @@ def count_roots(chain, lo, hi):
 def root_bound(p):
     """Cauchy bound: every root lies in [-bound, bound]."""
     p = trim(p)
-    lead = abs(Fraction(p[-1]))
-    best = Fraction(0)
-    for c in p[:-1]:
-        best = max(best, abs(Fraction(c)) / lead)
-    return best + 1
+    return Fraction(max(map(abs, p[:-1]), default=0), abs(p[-1])) + 1
 
 
 def _sample_between(lo, hi):

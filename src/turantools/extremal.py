@@ -11,7 +11,7 @@ results are ground truth at desk scale rather than heuristics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable
@@ -43,7 +43,11 @@ def _tie_window(n: int, tol: float) -> float:
 
 
 def turan_edges(n: int, r: int) -> int:
-    """Edge count of the Turan graph: C(n,2) minus the within-part pairs."""
+    """Edge count of the Turan graph: C(n,2) minus the within-part pairs.
+
+    Needs 1 <= r <= n; the reports compare against T(n, min(n, r)),
+    since an r-partite graph on n <= r vertices can be complete.
+    """
     parts = turan_parts(n, r)
     return n * (n - 1) // 2 - sum(p * (p - 1) // 2 for p in parts)
 
@@ -65,19 +69,7 @@ class ExtremalReport:
     reference: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "spec": self.spec,
-            "ex": self.ex,
-            "edge_extremal": list(self.edge_extremal),
-            "lambda_star": self.lambda_star,
-            "spectral_extremal": list(self.spectral_extremal),
-            "contained": self.contained,
-            "excess": self.excess,
-            "turan_edges": self.turan_edges,
-            "lambda_exact": self.lambda_exact,
-            "reference": self.reference,
-        }
+        return asdict(self)
 
 
 def _edge_argmax(graphs: Iterable[Graph]) -> tuple[int, list[Graph]]:
@@ -165,6 +157,7 @@ def _reference_note(spec: ForbiddenSpec) -> str | None:
 def _report(n: int, spec: ForbiddenSpec, graphs: Iterable[Graph], tol: float) -> ExtremalReport:
     """Scan the n-vertex F-free classes once and assemble the full report."""
     ex, edge_best, lam, winners, exact = _scan(n, graphs, tol)
+    turan = turan_edges(n, min(n, spec.r))
     edge_members = _canonical_sorted(edge_best)
     sp_members = _canonical_sorted(winners)
     for g in edge_members + sp_members:
@@ -183,8 +176,8 @@ def _report(n: int, spec: ForbiddenSpec, graphs: Iterable[Graph], tol: float) ->
         lambda_star=lam,
         spectral_extremal=sp_g6,
         contained=set(sp_g6) <= set(edge_g6),
-        excess=ex - turan_edges(n, spec.r),
-        turan_edges=turan_edges(n, spec.r),
+        excess=ex - turan,
+        turan_edges=turan,
         lambda_exact=exact,
         reference=_reference_note(spec),
     )
@@ -218,7 +211,7 @@ def excess_estimate(
 ) -> tuple[list[tuple[int, int]], str]:
     """The sequence a_n = ex(n,F) - e(T_{n,r}) plus a stabilization note."""
     levels = groupby(generate(n_max, spec, jobs, n_min=n_min), key=attrgetter("n"))
-    seq = [(n, _edge_argmax(graphs)[0] - turan_edges(n, spec.r)) for n, graphs in levels]
+    seq = [(n, _edge_argmax(graphs)[0] - turan_edges(n, min(n, spec.r))) for n, graphs in levels]
     tail = [a for _, a in seq]
     k = 1
     while k < len(tail) and tail[-1 - k] == tail[-1]:

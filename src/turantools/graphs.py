@@ -140,19 +140,6 @@ class Graph:
             rows[perm[u]] = nr
         return Graph.from_adj(tuple(rows))
 
-    def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
-        verts = sorted(vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for v in verts:
-            row = self.adj[v]
-            while row:
-                u = (row & -row).bit_length() - 1
-                row &= row - 1
-                if u in index:
-                    rows[index[v]] |= 1 << index[u]
-        return Graph.from_adj(tuple(rows))
-
 
 # ---------------------------------------------------------------------------
 # builders

@@ -47,31 +47,6 @@ class IntPoly:
 
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self):
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(f"{c:+d}")
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                sign = "+" if c > 0 else "-"
-                terms.append(f"{sign}{mag}x^{i}" if i > 1 else f"{sign}{mag}x")
-        s = "".join(terms) or "0"
-        return s.lstrip("+")
-
 
 def _power_iteration(sub: np.ndarray, tol: float):
     """Power iteration on A+I (the shift kills bipartite period-2)."""
@@ -141,17 +116,17 @@ def char_poly_exact(g: Graph) -> IntPoly:
     n = g.n
     if n > EXACT_CAP:
         raise SizeCapError(f"exact characteristic polynomial caps n at {EXACT_CAP}")
-    a = [[(g.adj[u] >> v) & 1 for v in range(n)] for u in range(n)]
+    nbrs = [list(g.neighbors(u)) for u in range(n)]
     coeffs_high = [1]  # coefficient of x^n, then x^(n-1), ...
+    zero = [0] * n
     m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         ck_prev = coeffs_high[-1]
         for i in range(n):
             m[i][i] += ck_prev
-        m = [
-            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        # row i of A*M is the sum of M's rows at i's neighbours; the zero
+        # row keeps an isolated vertex's row at length n
+        m = [list(map(sum, zip(zero, *(m[t] for t in nb)))) for nb in nbrs]
         trace = sum(m[i][i] for i in range(n))
         q, r = divmod(-trace, k)
         assert r == 0, "Faddeev-LeVerrier trace division must be exact"

@@ -12,7 +12,7 @@ at desk scale the asymptotic regime is only approached.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import SizeCapError
@@ -48,18 +48,7 @@ class PartitionReport:
     certified: bool
 
     def to_dict(self) -> dict:
-        return {
-            "parts": [list(p) for p in self.parts],
-            "part_sizes": list(self.part_sizes),
-            "cross_edges": self.cross_edges,
-            "internal_edges": list(self.internal_edges),
-            "internal_total": self.internal_total,
-            "missing_cross_edges": self.missing_cross_edges,
-            "internal_vertices": [list(p) for p in self.internal_vertices],
-            "independent_vertices": [list(p) for p in self.independent_vertices],
-            "balanced": self.balanced,
-            "certified": self.certified,
-        }
+        return asdict(self)
 
 
 def _part_masks(assign: Sequence[int], r: int) -> list[int]:
@@ -235,13 +224,7 @@ class DegreeClassReport:
     heavy_within_low: bool
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "epsilon": self.epsilon,
-            "heavy_internal": list(self.heavy_internal),
-            "low_degree": list(self.low_degree),
-            "heavy_within_low": self.heavy_within_low,
-        }
+        return asdict(self)
 
 
 def degree_class_report(
@@ -288,14 +271,7 @@ class CheckResult:
     slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "statement": self.statement,
-            "holds": self.holds,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 def structural_checks(

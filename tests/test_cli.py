@@ -201,6 +201,54 @@ class TestExitCodes:
         assert payload["ex"] == 6 and payload["excess"] == 0
         assert payload["edge_extremal"] == payload["spectral_extremal"] == ["DFw"]
 
+    def test_extremal_below_r_vertices(self, capsys):
+        code, out, _ = run_cli(["extremal", "--n", "2", "--forbid", "K4", "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ex"] == payload["turan_edges"] == 1 and payload["excess"] == 0
+
+
+class TestPinnedOutputs:
+    """Exact-layer outputs recorded before the integer-only rewrite of
+    that layer; a drift in sample points, Sturm chains or verdicts
+    changes them.  Power-iteration floats are left out, since BLAS
+    rounding may differ between machines."""
+
+    @pytest.mark.parametrize(
+        "g6,interval",
+        [
+            ("Dhc", [1.9999999999993936, 2.0000000000003033]),
+            ("C~", [2.999999999999394, 3.0000000000003033]),
+            ("IheA@GUAo", [2.999999999999394, 3.0000000000001896]),
+            ("K?~vfb~~v}^w", [7.99999999999928, 8.000000000000218]),
+            ("QpwuLhyp~i^hdRrVcRsMvpywT\\w", [10.41608049815137, 10.416080498151997]),
+        ],
+        ids=["C5", "K4", "Petersen", "T(12,3)", "G(18,1/2)"],
+    )
+    def test_spectral_certified_interval(self, capsys, g6, interval):
+        code, out, _ = run_cli(["spectral", "--g6", g6, "--exact", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["certified_interval"] == interval
+
+    def test_verify_c5_free_at_loose_tol(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--forbid", "g6:Dhc", "--n-min", "4", "--n-max", "7",
+             "--tol", "1e-4", "--json"],
+            capsys,
+        )
+        assert code == 0
+        got = [
+            (d["n"], d["ex"], d["edge_extremal"], d["spectral_extremal"],
+             d["contained"], d["lambda_exact"])
+            for d in json.loads(out)
+        ]
+        assert got == [
+            (4, 6, ["C~"], ["C~"], True, False),
+            (5, 7, ["DF{", "DJ{"], ["DJ{"], True, False),
+            (6, 9, ["E?~w", "EFz_", "E`Nw"], ["E?~w"], True, False),
+            (7, 12, ["F?~v_", "FJaNw"], ["F?B~w"], False, False),
+        ]
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

@@ -165,6 +165,18 @@ class TestReports:
         with pytest.raises(ValueError):
             verify_containment(5, 4, K3)
 
+    def test_below_r_vertices_the_turan_graph_is_complete(self):
+        # T(n, r) = K_n for n <= r, so K4-free graphs on n <= 3 vertices
+        # have excess 0 over it
+        reports = verify_containment(1, 5, K4)
+        assert [r.n for r in reports] == [1, 2, 3, 4, 5]
+        for rep in reports[:3]:
+            assert rep.ex == rep.turan_edges == math.comb(rep.n, 2)
+            assert rep.excess == 0
+        assert [r.excess for r in reports] == [0] * 5
+        seq, _ = excess_estimate(K4, 2, 6)
+        assert seq == [(n, 0) for n in range(2, 7)]
+
 
 @pytest.fixture
 def augment_calls(monkeypatch):

@@ -118,6 +118,11 @@ class TestCharPoly:
         with pytest.raises(SizeCapError):
             char_poly_exact(empty_graph(25))
 
+    @pytest.mark.parametrize("n", range(20, 25))
+    def test_turan_graphs_at_the_cap(self, n):
+        for r in (2, 3, 5):
+            assert char_poly_exact(turan_graph(n, r)) == multipartite_char_poly(turan_parts(n, r))
+
 
 class TestMultipartitePoly:
     def test_examples(self):
@@ -246,10 +251,38 @@ class TestCompareExact:
         with pytest.raises(SizeCapError):
             compare_exact(empty_graph(25), empty_graph(3))
 
+    def test_versus_eigensolver_at_the_cap(self):
+        rng = random.Random(24)
+        for _ in range(6):
+            g, h = random_graph(rng, 24), random_graph(rng, 24)
+            gap = eig_max(g) - eig_max(h)
+            if abs(gap) > 1e-6:
+                assert compare_exact(g, h) == (GREATER if gap > 0 else LESS)
+            perm = list(range(24))
+            rng.shuffle(perm)
+            assert compare_exact(g, g.relabel(perm)) == EQUAL
+
     def test_certified_interval(self):
         lo, hi = certified_radius_interval(cycle_graph(5))
         assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
         assert lo < 2 <= hi and float(hi - lo) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "g,lo,hi",
+        [
+            (cycle_graph(5), Fraction(3298534883327, 1649267441664),
+             Fraction(6597069766657, 3298534883328)),
+            (turan_graph(20, 3), Fraction(44959576161515443, 3377699720527872),
+             Fraction(22479788080758605, 1688849860263936)),
+            (random_graph(random.Random(18), 18),
+             Fraction(1874945526042427753, 216172782113783808),
+             Fraction(7499782104170341273, 864691128455135232)),
+        ],
+        ids=["C5", "T(20,3)", "G(18,1/2)"],
+    )
+    def test_certified_interval_endpoints_are_pinned(self, g, lo, hi):
+        # any change to the bisection's sample points moves these
+        assert certified_radius_interval(g) == (lo, hi)
 
 
 class TestTuranPerronClosed:
