@@ -2,21 +2,15 @@
 
 The compiled extension ``turantools._core`` (built from ``_core.c``)
 is preferred; the pure-Python twin ``turantools._core_py`` is used when
-the extension is missing or when ``TURANTOOLS_PURE_PYTHON`` is set, e.g.
-to time the twin on an install that has the extension.
+the extension is missing.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("TURANTOOLS_PURE_PYTHON"):
+try:
+    from . import _core as _impl  # type: ignore[attr-defined]
+except ImportError:
     from . import _core_py as _impl
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _core_py as _impl
 
 BACKEND: str = _impl.BACKEND
 

@@ -6,8 +6,8 @@ diagnostics and counts go to stderr.  Exit codes: 0 ok, 2 usage,
 3 parse error, 4 size cap, 1 internal failure.
 
 Environment overrides: JOBS (default worker count) and TOL (default
-numeric tolerance).  A bad value, from the environment or the command
-line, is a usage error (exit 2).
+tolerance of ``spectral``).  A bad value, from the environment or the
+command line, is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--jobs", type=_jobs, default=jobs)
-    p.add_argument("--tol", type=_tol, default=tol)
 
     p = sub.add_parser("verify", help="containment table Ex_sp vs Ex over a range of n")
     p.add_argument("--forbid", required=True)
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--jobs", type=_jobs, default=jobs)
-    p.add_argument("--tol", type=_tol, default=tol)
 
     p = sub.add_parser("spectral", help="spectral radius and Perron vector of one graph")
     p.add_argument("--g6", required=True)
@@ -129,10 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     spec = parse_forbidden(args.forbid) if args.forbid else None
+    graphs = generate(args.n, prune=spec, jobs=args.jobs)  # a bad n raises before --out opens
     count = 0
     sink = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     try:
-        for g in generate(args.n, prune=spec, jobs=args.jobs):
+        for g in graphs:
             sink.write(to_graph6(g) + "\n")
             count += 1
     finally:
@@ -165,7 +164,7 @@ def _report_rows(reports):
 
 def _cmd_extremal(args) -> int:
     spec = parse_forbidden(args.forbid)
-    rep = build_report(args.n, spec, tol=args.tol, jobs=args.jobs)
+    rep = build_report(args.n, spec, jobs=args.jobs)
     if args.json:
         print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     else:
@@ -177,7 +176,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = parse_forbidden(args.forbid)
-    reports = verify_containment(args.n_min, args.n_max, spec, tol=args.tol, jobs=args.jobs)
+    reports = verify_containment(args.n_min, args.n_max, spec, jobs=args.jobs)
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
     else:

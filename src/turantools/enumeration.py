@@ -64,7 +64,8 @@ def generate(
     Emits exactly one representative per class, ordered by size and
     then by sorted canonical form, independent of ``jobs``.  Every size
     comes from the same walk of the tree, so a range costs what its
-    largest size costs.
+    largest size costs.  The range is checked here, before the walk
+    starts on the first ``next()``.
     """
     n_min = n if n_min is None else n_min
     if n_min > n:
@@ -74,10 +75,8 @@ def generate(
             f"generation is supported for 1 <= n <= {GENERATION_CAP}, "
             f"got {n_min if n_min < 1 else n}"
         )
-    for size, level in enumerate(_levels(n, prune, jobs), start=1):
-        if size >= n_min:
-            for adj, _ in level:
-                yield Graph.from_adj(adj)
+    levels = enumerate(_levels(n, prune, jobs), start=1)
+    return (Graph.from_adj(adj) for size, level in levels if size >= n_min for adj, _ in level)
 
 
 def count_classes(n: int, prune: ForbiddenSpec | None = None, jobs: int = 1) -> int:
@@ -95,13 +94,15 @@ def ingest(
     ``dedupe`` keeps one representative per isomorphism class.
     """
     seen: set | None = set() if dedupe else None
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                g = from_graph6(line)
+                g = from_graph6(line.decode("ascii"))
+            except UnicodeDecodeError as exc:
+                raise ParseError("non-ASCII byte", offset=exc.start, line=lineno) from exc
             except ParseError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
             if prune is not None and not is_free(g, prune):

@@ -20,26 +20,13 @@ from .enumeration import generate
 from .errors import NonConvergenceError
 from .graphs import Graph, canonical_form, canonical_graph, to_graph6, turan_parts
 from .patterns import ForbiddenSpec, is_free
-from .spectral import (
-    DEFAULT_TOL,
-    GREATER,
-    LESS,
-    compare_exact,
-    secular_lambda,
-    spectral_radius,
-)
+from .spectral import DEFAULT_TOL, GREATER, LESS, compare_exact, spectral_radius
 
-TIE_WINDOW = 1e-9  # floor of the tie window, see _tie_window
-
-
-def _tie_window(n: int, tol: float) -> float:
-    """Float gap below which two radii of n-vertex graphs may be equal.
-
-    Power iteration stops once ||Ax - lam x||_inf <= tol with
-    ||x||_inf = 1, so lam lies within sqrt(n) * tol of an eigenvalue of
-    A; two radii closer than twice that go to exact comparison.
-    """
-    return max(TIE_WINDOW, 2 * math.sqrt(n) * tol)
+# Float gap below which two radii may be equal.  The scan runs power
+# iteration to ||Ax - lam x||_inf <= DEFAULT_TOL with ||x||_inf = 1, so
+# lam lies within sqrt(n) * DEFAULT_TOL of an eigenvalue of A; for every
+# n <= GENERATION_CAP twice that is below this window.
+TIE_WINDOW = 1e-9
 
 
 def turan_edges(n: int, r: int) -> int:
@@ -83,7 +70,7 @@ def _edge_argmax(graphs: Iterable[Graph]) -> tuple[int, list[Graph]]:
     return ex, members
 
 
-def _scan(n: int, graphs: Iterable[Graph], tol: float) -> tuple:
+def _scan(graphs: Iterable[Graph]) -> tuple:
     """One pass over the n-vertex classes tracking both extremal sets.
 
     Returns ``(ex, edge_members, lambda_star, spectral_members, exact)``.
@@ -91,7 +78,6 @@ def _scan(n: int, graphs: Iterable[Graph], tol: float) -> tuple:
     when more than one is left, exact polynomial comparison reduces them
     to the argmax set and ``exact`` is True.
     """
-    window = _tie_window(n, tol)
     ex, edge_best = -1, []
     lam, finalists = -math.inf, []
     for g in graphs:
@@ -100,7 +86,7 @@ def _scan(n: int, graphs: Iterable[Graph], tol: float) -> tuple:
         elif g.m == ex:
             edge_best.append(g)
         try:
-            r = spectral_radius(g, tol).lam
+            r = spectral_radius(g, DEFAULT_TOL).lam
         except NonConvergenceError as exc:
             raise NonConvergenceError(
                 f"power iteration stalled on {to_graph6(g)}: {exc}",
@@ -109,8 +95,8 @@ def _scan(n: int, graphs: Iterable[Graph], tol: float) -> tuple:
             ) from exc
         if r > lam:
             lam = r
-            finalists = [c for c in finalists if c[0] >= lam - window]
-        if r >= lam - window:
+            finalists = [c for c in finalists if c[0] >= lam - TIE_WINDOW]
+        if r >= lam - TIE_WINDOW:
             finalists.append((r, g))
     winners = finalists[:1]
     for cand in finalists[1:]:
@@ -131,15 +117,13 @@ def ex_number(
     return ex, _canonical_sorted(members)
 
 
-def spectral_ex(
-    n: int, spec: ForbiddenSpec, tol: float = DEFAULT_TOL, jobs: int = 1
-) -> tuple[float, list[Graph], bool]:
+def spectral_ex(n: int, spec: ForbiddenSpec, jobs: int = 1) -> tuple[float, list[Graph], bool]:
     """Maximum spectral radius over F-free classes with the argmax set.
 
     Returns ``(lambda_star, members, exact)``; members carry canonical
     labels and ``exact`` marks an argmax certified by exact arithmetic.
     """
-    _, _, lam, winners, exact = _scan(n, generate(n, prune=spec, jobs=jobs), tol)
+    _, _, lam, winners, exact = _scan(generate(n, prune=spec, jobs=jobs))
     return lam, _canonical_sorted(winners), exact
 
 
@@ -154,9 +138,9 @@ def _reference_note(spec: ForbiddenSpec) -> str | None:
     return "no external reference"
 
 
-def _report(n: int, spec: ForbiddenSpec, graphs: Iterable[Graph], tol: float) -> ExtremalReport:
+def _report(n: int, spec: ForbiddenSpec, graphs: Iterable[Graph]) -> ExtremalReport:
     """Scan the n-vertex F-free classes once and assemble the full report."""
-    ex, edge_best, lam, winners, exact = _scan(n, graphs, tol)
+    ex, edge_best, lam, winners, exact = _scan(graphs)
     turan = turan_edges(n, min(n, spec.r))
     edge_members = _canonical_sorted(edge_best)
     sp_members = _canonical_sorted(winners)
@@ -183,19 +167,13 @@ def _report(n: int, spec: ForbiddenSpec, graphs: Iterable[Graph], tol: float) ->
     )
 
 
-def build_report(
-    n: int, spec: ForbiddenSpec, tol: float = DEFAULT_TOL, jobs: int = 1
-) -> ExtremalReport:
+def build_report(n: int, spec: ForbiddenSpec, jobs: int = 1) -> ExtremalReport:
     """Run both extremal searches once and assemble the full report."""
-    return _report(n, spec, generate(n, prune=spec, jobs=jobs), tol)
+    return _report(n, spec, generate(n, prune=spec, jobs=jobs))
 
 
 def verify_containment(
-    n_min: int,
-    n_max: int,
-    spec: ForbiddenSpec,
-    tol: float = DEFAULT_TOL,
-    jobs: int = 1,
+    n_min: int, n_max: int, spec: ForbiddenSpec, jobs: int = 1
 ) -> list[ExtremalReport]:
     """Per-n reports over [n_min, n_max], all from one walk of the tree.
 
@@ -203,7 +181,7 @@ def verify_containment(
     the spectral argmax can legitimately sit outside the edge argmax.
     """
     levels = groupby(generate(n_max, spec, jobs, n_min=n_min), key=attrgetter("n"))
-    return [_report(n, spec, graphs, tol) for n, graphs in levels]
+    return [_report(n, spec, graphs) for n, graphs in levels]
 
 
 def excess_estimate(
@@ -222,7 +200,3 @@ def excess_estimate(
         note = "not stabilized over the sampled range"
     return seq, note
 
-
-def turan_radius(n: int, r: int, tol: float = 1e-12) -> float:
-    """Spectral radius of the Turan graph via the secular equation."""
-    return secular_lambda(turan_parts(n, r), tol)

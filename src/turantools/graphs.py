@@ -16,6 +16,13 @@ from .errors import ParseError, SizeCapError
 BITSET_CAP = 64  # combinatorial kernels keep one machine word per row
 
 
+def _check_pair(n: int, u: int, v: int):
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+
+
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
@@ -26,10 +33,7 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         rows = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+            _check_pair(n, u, v)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         object.__setattr__(self, "n", n)
@@ -113,22 +117,24 @@ class Graph:
     # -- derived graphs ----------------------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise ValueError("self-loop")
+        _check_pair(self.n, u, v)
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         return Graph.from_adj(tuple(rows))
 
     def without_edge(self, u: int, v: int) -> "Graph":
+        _check_pair(self.n, u, v)
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
         return Graph.from_adj(tuple(rows))
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
-        """Image under ``v -> perm[v]``."""
+        """Image under ``v -> perm[v]``; ``perm`` must permute range(n)."""
         perm = list(perm)
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"{perm} is not a permutation of range({self.n})")
         rows = [0] * self.n
         for u in range(self.n):
             row = self.adj[u]
@@ -313,25 +319,10 @@ def write_graph6_file(path, graphs: Iterable[Graph]) -> int:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Complete isomorphism invariant: packed canonical upper triangle.
-
-    ``aut_size`` (the automorphism group order) is an optional
-    diagnostic, filled only when requested.
-    """
+    """Complete isomorphism invariant: packed canonical upper triangle."""
 
     n: int
     bytes: bytes
-    aut_size: int | None = None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CanonicalForm)
-            and self.n == other.n
-            and self.bytes == other.bytes
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.bytes))
 
 
 def _check_bitset_cap(n: int):
@@ -339,12 +330,10 @@ def _check_bitset_cap(n: int):
         raise SizeCapError(f"combinatorial path caps n at {BITSET_CAP}, got {n}")
 
 
-def canonical_form(g: Graph, with_aut: bool = False) -> CanonicalForm:
+def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``; equal exactly for isomorphic graphs."""
     _check_bitset_cap(g.n)
-    form = _kernels.canonical_bytes(g.n, g.adj)
-    aut = automorphism_count(g) if with_aut else None
-    return CanonicalForm(g.n, form, aut)
+    return CanonicalForm(g.n, _kernels.canonical_bytes(g.n, g.adj))
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -22,6 +22,7 @@ MIN_TOL = 1e-14
 DEFAULT_TOL = 1e-10
 ITERATION_CAP = 10**6
 EXACT_CAP = 24  # big-integer characteristic polynomials
+INTERVAL_WIDTH = Fraction(1e-12).limit_denominator(10**15)  # of certified intervals
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -222,14 +223,14 @@ def compare_exact(g1: Graph, g2: Graph) -> int:
     return _realroots.compare_largest_roots(p1, p2)
 
 
-def certified_radius_interval(g: Graph, width: float = 1e-12) -> tuple[Fraction, Fraction]:
-    """Rational interval (lo, hi] of at most ``width`` containing lambda."""
+def certified_radius_interval(g: Graph) -> tuple[Fraction, Fraction]:
+    """Rational interval (lo, hi] of at most INTERVAL_WIDTH containing lambda."""
     if g.n == 0:
         raise ValueError("graphs must have at least one vertex")
     if g.n > EXACT_CAP:
         raise SizeCapError(f"exact isolation caps n at {EXACT_CAP}")
     poly = list(char_poly_exact(g).coeffs)
-    return _realroots.LargestRoot(poly).refine_to(Fraction(width).limit_denominator(10**15))
+    return _realroots.LargestRoot(poly).refine_to(INTERVAL_WIDTH)
 
 
 def turan_perron_closed(n: int, r: int) -> tuple[float, float, float]:

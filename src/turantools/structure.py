@@ -15,14 +15,13 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .errors import SizeCapError
 from .graphs import Graph
 from .patterns import ForbiddenSpec
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import spectral_radius
 
-EXHAUSTIVE_BUDGET = 10**8  # assignments; branch and bound rarely visits all
-AUTO_EXHAUSTIVE_BUDGET = 4**12
+AUTO_EXHAUSTIVE_BUDGET = 4**12  # assignments r**n searched exhaustively
 LOCAL_SEARCH_STARTS = 32
+LOCAL_SEARCH_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,10 @@ def _exhaustive_min_internal(g: Graph, r: int) -> list[int]:
     return best_assign
 
 
-def _local_search(g: Graph, r: int, seed: int) -> list[int]:
+def _local_search(g: Graph, r: int) -> list[int]:
     """Multi-start hill climbing: move each vertex to the part where it
     has the fewest neighbors until no move improves."""
-    rng = random.Random(seed)
+    rng = random.Random(LOCAL_SEARCH_SEED)
     n = g.n
     best_assign: list[int] = []
     best_cost = None
@@ -177,29 +176,18 @@ def _local_search(g: Graph, r: int, seed: int) -> list[int]:
     return best_assign
 
 
-def max_cut_partition(g: Graph, r: int, mode: str = "auto", seed: int = 0) -> PartitionReport:
+def max_cut_partition(g: Graph, r: int) -> PartitionReport:
     """Partition into r classes maximizing the cross-edge count.
 
-    ``mode`` is "exhaustive" (certified; needs r**n <= 1e8),
-    "local_search", or "auto" (exhaustive when cheap).
+    When r**n <= AUTO_EXHAUSTIVE_BUDGET an exhaustive branch and bound
+    finds a certified optimum; otherwise a seeded multi-start local
+    search gives a deterministic, uncertified partition.
     """
     if r < 2:
         raise ValueError(f"need at least 2 classes, got r={r}")
-    space = r**g.n
-    if mode == "auto":
-        mode = "exhaustive" if space <= AUTO_EXHAUSTIVE_BUDGET else "local_search"
-    if mode == "exhaustive":
-        if space > EXHAUSTIVE_BUDGET:
-            raise SizeCapError(
-                f"exhaustive partition search needs r^n <= {EXHAUSTIVE_BUDGET}, "
-                f"got {space}; use local_search"
-            )
-        assign = _exhaustive_min_internal(g, r)
-        return _report_from_assignment(g, assign, r, certified=True)
-    if mode == "local_search":
-        assign = _local_search(g, r, seed)
-        return _report_from_assignment(g, assign, r, certified=False)
-    raise ValueError(f"unknown mode {mode!r}")
+    if r**g.n <= AUTO_EXHAUSTIVE_BUDGET:
+        return _report_from_assignment(g, _exhaustive_min_internal(g, r), r, certified=True)
+    return _report_from_assignment(g, _local_search(g, r), r, certified=False)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +267,6 @@ def structural_checks(
     spec: ForbiddenSpec,
     excess: int,
     partition: PartitionReport | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> list[CheckResult]:
     """The seven structural facts evaluated on a max-cross partition.
 
@@ -293,7 +280,7 @@ def structural_checks(
     a = excess
     if partition is None:
         partition = max_cut_partition(g, r)
-    res = spectral_radius(g, tol)
+    res = spectral_radius(g)
     checks = []
 
     def ge(check_id, statement, lhs, rhs):

@@ -16,7 +16,6 @@ from turantools.enumeration import count_classes, generate
 from turantools.extremal import (
     excess_estimate,
     spectral_ex,
-    turan_radius,
     verify_containment,
 )
 from turantools.graphs import (
@@ -103,7 +102,7 @@ def test_criterion_02_k4_free_extremal(announce):
             assert {canonical_form(from_graph6(s)) for s in rep.edge_extremal} == target
             assert {canonical_form(from_graph6(s)) for s in rep.spectral_extremal} == target
             assert rep.contained
-            assert abs(rep.lambda_star - turan_radius(rep.n, 3)) <= 1e-9
+            assert abs(rep.lambda_star - secular_lambda(turan_parts(rep.n, 3))) <= 1e-9
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 

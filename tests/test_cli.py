@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from turantools.cli import main
+from turantools.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -27,6 +28,13 @@ class TestGen:
         code, out, _ = run_cli(["gen", "--n", "4", "--out", str(path)], capsys)
         assert code == 0 and out == ""
         assert len(path.read_text().splitlines()) == 11
+
+    def test_rejected_size_keeps_out_file(self, tmp_path, capsys):
+        path = tmp_path / "c.g6"
+        path.write_bytes(b"C~\n")
+        code, _, err = run_cli(["gen", "--n", "11", "--out", str(path)], capsys)
+        assert code == 4 and "size cap" in err
+        assert path.read_bytes() == b"C~\n"
 
     def test_jobs_byte_identical(self, capsys):
         _, out1, _ = run_cli(["gen", "--n", "6", "--forbid", "K3", "--jobs", "1"], capsys)
@@ -157,7 +165,7 @@ class TestEnvOverrides:
             ("JOBS", "abc", ["gen", "--n", "4"]),
             ("JOBS", "0", ["extremal", "--n", "4", "--forbid", "K3"]),
             ("TOL", "nan", ["spectral", "--g6", "D~{"]),
-            ("TOL", "oops", ["verify", "--forbid", "K3", "--n-min", "3", "--n-max", "4"]),
+            ("TOL", "oops", ["spectral", "--g6", "C~", "--exact"]),
         ],
     )
     def test_bad_env_value_exits_2(self, monkeypatch, capsys, name, value, argv):
@@ -166,6 +174,41 @@ class TestEnvOverrides:
             main(argv)
         assert exc.value.code == 2
         assert f"--{name.lower()}" in capsys.readouterr().err
+
+
+class TestOptionInventory:
+    """Every option of every subcommand; a new setting is added here."""
+
+    OPTIONS = {
+        "gen": {"--n", "--forbid", "--out", "--jobs"},
+        "extremal": {"--n", "--forbid", "--json", "--jobs"},
+        "verify": {"--forbid", "--n-min", "--n-max", "--json", "--jobs"},
+        "spectral": {"--g6", "--tol", "--exact", "--json"},
+        "secular": {"--parts", "--tol"},
+        "turan": {"--n", "--r"},
+        "diagnose": {"--g6", "--forbid", "--a", "--theta", "--epsilon", "--json"},
+    }
+
+    def test_subcommand_options(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.OPTIONS)
+        for name, command in sub.choices.items():
+            got = {s for a in command._actions for s in a.option_strings}
+            assert got == self.OPTIONS[name] | {"-h", "--help"}, name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--forbid", "K3", "--n-min", "3", "--n-max", "4", "--tol", "1e-4"],
+            ["extremal", "--n", "4", "--forbid", "K3", "--tol", "1e-4"],
+        ],
+        ids=["verify", "extremal"],
+    )
+    def test_scan_tolerance_is_not_an_option(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestExitCodes:
@@ -184,8 +227,8 @@ class TestExitCodes:
         [
             ["gen", "--n", "4", "--jobs", "0"],
             ["gen", "--n", "4", "--jobs", "-2"],
-            ["extremal", "--n", "4", "--forbid", "K3", "--tol", "nan"],
-            ["verify", "--forbid", "K3", "--n-min", "3", "--n-max", "4", "--tol", "inf"],
+            ["spectral", "--g6", "C~", "--tol", "nan"],
+            ["spectral", "--g6", "C~", "--tol", "inf"],
             ["secular", "--parts", "2,2", "--tol", "nan"],
         ],
     )
@@ -230,10 +273,9 @@ class TestPinnedOutputs:
         assert code == 0
         assert json.loads(out)["certified_interval"] == interval
 
-    def test_verify_c5_free_at_loose_tol(self, capsys):
+    def test_verify_c5_free(self, capsys):
         code, out, _ = run_cli(
-            ["verify", "--forbid", "g6:Dhc", "--n-min", "4", "--n-max", "7",
-             "--tol", "1e-4", "--json"],
+            ["verify", "--forbid", "g6:Dhc", "--n-min", "4", "--n-max", "7", "--json"],
             capsys,
         )
         assert code == 0

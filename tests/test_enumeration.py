@@ -83,6 +83,12 @@ class TestGenerate:
         with pytest.raises(SizeCapError):
             list(generate(n))
 
+    def test_range_is_checked_before_iteration(self):
+        with pytest.raises(SizeCapError):
+            generate(11)
+        with pytest.raises(ValueError):
+            generate(7, n_min=8)
+
 
 class TestIngest:
     def test_prune_filters(self, tmp_path):
@@ -110,6 +116,13 @@ class TestIngest:
         with pytest.raises(ParseError) as err:
             list(ingest(path))
         assert "line 2" in str(err.value)
+
+    def test_non_ascii_line_reports_number(self, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_bytes(b"D??\nD\xc3\xa9?\n")
+        with pytest.raises(ParseError) as err:
+            list(ingest(path))
+        assert err.value.line == 2 and "line 2" in str(err.value)
 
     def test_round_trip_with_generate(self, tmp_path):
         path = tmp_path / "graphs.g6"

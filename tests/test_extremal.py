@@ -4,13 +4,14 @@ import pytest
 
 from turantools import _kernels
 from turantools.errors import SizeCapError
+from turantools.enumeration import GENERATION_CAP
 from turantools.extremal import (
+    TIE_WINDOW,
     build_report,
     ex_number,
     excess_estimate,
     spectral_ex,
     turan_edges,
-    turan_radius,
     verify_containment,
 )
 from turantools.graphs import (
@@ -19,9 +20,10 @@ from turantools.graphs import (
     cycle_graph,
     path_graph,
     turan_graph,
+    turan_parts,
 )
 from turantools.patterns import contains_subgraph, is_free, parse_forbidden
-from turantools.spectral import spectral_radius
+from turantools.spectral import DEFAULT_TOL, secular_lambda, spectral_radius
 
 from oracles import max_edges_labeled
 
@@ -116,22 +118,26 @@ class TestSpectralEx:
     def test_spectral_extremal_is_turan(self):
         for n in range(3, 8):
             lam, members, _ = spectral_ex(n, K3)
-            assert lam == pytest.approx(turan_radius(n, 2), abs=1e-9)
+            assert lam == pytest.approx(secular_lambda(turan_parts(n, 2)), abs=1e-9)
             assert [canonical_form(g) for g in members] == [
                 canonical_form(turan_graph(n, 2))
             ]
 
-    @pytest.mark.parametrize("tol", [1e-4, 1e-2])
     @pytest.mark.parametrize(
         "spec,n,argmax",
         [("g6:Dhc", 8, ("G??F~{", "G?~vf_")), ("g6:Ch", 5, ("D?{", "D@K", "D`K"))],
     )
-    def test_loose_tol_keeps_every_tied_member(self, spec, n, argmax, tol):
-        # C5-free at n=8 and P4-free at n=5 have exactly tied radii whose
-        # float values differ by more than 1e-9 at these tolerances
-        rep = build_report(n, parse_forbidden(spec), tol=tol)
+    def test_tied_members_all_kept(self, spec, n, argmax):
+        # C5-free at n=8 and P4-free at n=5 have exactly tied radii;
+        # exact comparison keeps every tied member
+        rep = build_report(n, parse_forbidden(spec))
         assert rep.spectral_extremal == argmax
         assert rep.lambda_exact
+
+    def test_tie_window_covers_the_scan_tolerance(self):
+        # a radius stopped at DEFAULT_TOL is within sqrt(n) * DEFAULT_TOL
+        # of the true one, for every n generation allows
+        assert 2 * math.sqrt(GENERATION_CAP) * DEFAULT_TOL <= TIE_WINDOW
 
 
 class TestReports:

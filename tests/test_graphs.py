@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -56,6 +57,19 @@ class TestGraphBasics:
             Graph(3, [(1, 1)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("u,v", [(0, 7), (7, 0), (-1, 0), (0, -3), (1, 1)])
+    def test_edge_edits_reject_bad_vertices(self, u, v):
+        g = complete_graph(3)
+        with pytest.raises(ValueError):
+            g.with_edge(u, v)
+        with pytest.raises(ValueError):
+            g.without_edge(u, v)
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1]])
+    def test_relabel_rejects_non_permutations(self, perm):
+        with pytest.raises(ValueError):
+            complete_graph(3).relabel(perm)
 
     def test_components(self):
         g = disjoint_union(complete_graph(3), path_graph(2))
@@ -192,6 +206,12 @@ class TestCanonicalForm:
         assert canonical_form(empty_graph(1)) != canonical_form(empty_graph(0))
         assert CanonicalForm(2, b"") != CanonicalForm(3, b"")
 
+    def test_form_is_a_plain_value(self):
+        form = canonical_form(cycle_graph(5))
+        same = CanonicalForm(5, canonical_form(cycle_graph(5).relabel([1, 2, 3, 4, 0])).bytes)
+        assert dataclasses.astuple(form) == (5, form.bytes)
+        assert form == same and hash(form) == hash(same)
+
 
 class TestAutomorphisms:
     @pytest.mark.parametrize(
@@ -221,7 +241,3 @@ class TestAutomorphisms:
             )
             assert automorphism_count(g) == brute
 
-    def test_canonical_form_with_aut(self):
-        form = canonical_form(cycle_graph(5), with_aut=True)
-        assert form.aut_size == 10
-        assert canonical_form(cycle_graph(5)).aut_size is None

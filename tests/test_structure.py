@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from turantools.errors import SizeCapError
 from turantools.graphs import (
     complete_graph,
     cycle_graph,
@@ -11,6 +10,11 @@ from turantools.graphs import (
 from turantools.patterns import friendship_graph, parse_forbidden
 from turantools.spectral import turan_perron_closed
 from turantools.structure import (
+    AUTO_EXHAUSTIVE_BUDGET,
+    _exhaustive_min_internal,
+    _internal_count,
+    _local_search,
+    _part_masks,
     degree_class_report,
     inclusion_exclusion_bound,
     max_cut_partition,
@@ -24,26 +28,30 @@ K4 = parse_forbidden("K4")
 
 
 class TestMaxCut:
+    # below AUTO_EXHAUSTIVE_BUDGET max_cut_partition searches exhaustively,
+    # so every report from it here is certified
+
     def test_c4_bipartite(self):
-        rep = max_cut_partition(cycle_graph(4), 2, mode="exhaustive")
+        rep = max_cut_partition(cycle_graph(4), 2)
         assert rep.cross_edges == 4 and rep.internal_total == 0
         assert rep.certified
 
     def test_k4_balanced_cut(self):
-        rep = max_cut_partition(complete_graph(4), 2, mode="exhaustive")
-        assert rep.cross_edges == 4
+        rep = max_cut_partition(complete_graph(4), 2)
+        assert rep.certified and rep.cross_edges == 4
         assert rep.internal_edges == (1, 1)
 
     def test_bowtie_cut(self):
-        rep = max_cut_partition(friendship_graph(2), 2, mode="exhaustive")
-        assert rep.cross_edges == 4
+        rep = max_cut_partition(friendship_graph(2), 2)
+        assert rep.certified and rep.cross_edges == 4
 
     def test_accounting_invariants(self):
         rng = random.Random(1)
         for _ in range(80):
             g = random_graph(rng, rng.randint(2, 7))
             r = rng.randint(2, 4)
-            rep = max_cut_partition(g, r, mode="exhaustive")
+            rep = max_cut_partition(g, r)
+            assert rep.certified
             assert rep.cross_edges + rep.internal_total == g.m
             assert rep.missing_cross_edges >= 0
             sizes = rep.part_sizes
@@ -60,16 +68,17 @@ class TestMaxCut:
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 7))
             r = rng.randint(2, 3)
-            ex = max_cut_partition(g, r, mode="exhaustive")
-            ls = max_cut_partition(g, r, mode="local_search")
-            assert ex.cross_edges >= ls.cross_edges
+            ex = _internal_count(g, _part_masks(_exhaustive_min_internal(g, r), r))
+            ls = _internal_count(g, _part_masks(_local_search(g, r), r))
+            assert ex <= ls
 
     def test_single_moves_never_improve_certified_optimum(self):
         rng = random.Random(3)
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 7))
             r = rng.randint(2, 3)
-            rep = max_cut_partition(g, r, mode="exhaustive")
+            rep = max_cut_partition(g, r)
+            assert rep.certified
             assign = [0] * g.n
             for i, part in enumerate(rep.parts):
                 for v in part:
@@ -94,8 +103,12 @@ class TestMaxCut:
             assert rep.balanced
 
     def test_exhaustive_budget(self):
-        with pytest.raises(SizeCapError):
-            max_cut_partition(turan_graph(30, 2), 4, mode="exhaustive")
+        # 4**12 assignments are searched exhaustively, 4**13 are not
+        assert AUTO_EXHAUSTIVE_BUDGET == 4**12
+        assert max_cut_partition(turan_graph(12, 4), 4).certified
+        rep = max_cut_partition(turan_graph(13, 4), 4)
+        assert not rep.certified and rep.missing_cross_edges == 0
+        assert not max_cut_partition(turan_graph(30, 2), 4).certified
 
     def test_r_validation(self):
         with pytest.raises(ValueError):
