@@ -13,9 +13,7 @@ from .enumeration import generate, ingest
 from .extremal import (
     ExtremalReport,
     build_report,
-    ex_number,
     excess_estimate,
-    spectral_ex,
     turan_edges,
     verify_containment,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "degree_class_report",
     "disjoint_union",
     "empty_graph",
-    "ex_number",
     "excess_estimate",
     "friendship_graph",
     "from_graph6",
@@ -110,7 +107,6 @@ __all__ = [
     "parse_forbidden",
     "path_graph",
     "secular_lambda",
-    "spectral_ex",
     "spectral_radius",
     "structural_checks",
     "to_graph6",

@@ -180,7 +180,7 @@ static int uf_find(int *parent, int v)
 }
 
 /* Merge the orbits of generators *applied.. that fix the current prefix
- * pointwise. */
+ * pointwise.  Each class's root is its least vertex. */
 static void absorb_gens(const CanonState *st, int *parent, int *applied)
 {
     for (; *applied < st->ngens; (*applied)++) {
@@ -193,7 +193,7 @@ static void absorb_gens(const CanonState *st, int *parent, int *applied)
         for (int v = 0; v < st->n; v++) {
             int ra = uf_find(parent, v), rb = uf_find(parent, g[v]);
             if (ra != rb)
-                parent[ra] = rb;
+                parent[ra > rb ? ra : rb] = ra < rb ? ra : rb;
         }
     }
 }
@@ -258,17 +258,19 @@ static void search(CanonState *st, const int *lab_in, const char *ptn_in)
 }
 
 /* Canonical form of a graph with n <= MAXN vertices into form_out;
- * order_out[i] is the vertex placed at canonical position i.  Returns the
- * form's length in bytes, or -1 with MemoryError set when the generator
- * store cannot grow. */
-static int run_canonical(int n, const u64 *adj, int *order_out, unsigned char *form_out)
+ * order_out[i] is the vertex placed at canonical position i and
+ * orbits_out[v] the least vertex in v's orbit under the found
+ * automorphisms.  Returns the form's length in bytes, or -1 with
+ * MemoryError set when the generator store cannot grow. */
+static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
+                         unsigned char *form_out)
 {
     CanonState st;
-    int lab[MAXN], degs[MAXN], maxdeg = 0, pos = 0;
+    int lab[MAXN], degs[MAXN], parent[MAXN], maxdeg = 0, pos = 0, applied = 0;
     char ptn[MAXN];
     if (n <= 1) {
         if (n == 1)
-            order_out[0] = 0;
+            order_out[0] = orbits_out[0] = 0;
         return 0;
     }
     st.n = n;
@@ -291,11 +293,18 @@ static int run_canonical(int n, const u64 *adj, int *order_out, unsigned char *f
         ptn[i] = degs[lab[i]] == degs[lab[i + 1]];
     ptn[n - 1] = 0;
     search(&st, lab, ptn);
-    free(st.gens);
     if (st.nomem) {
+        free(st.gens);
         PyErr_NoMemory();
         return -1;
     }
+    /* at depth 0 every generator fixes the (empty) prefix */
+    for (int v = 0; v < n; v++)
+        parent[v] = v;
+    absorb_gens(&st, parent, &applied);
+    free(st.gens);
+    for (int v = 0; v < n; v++)
+        orbits_out[v] = uf_find(parent, v);
     memcpy(order_out, st.best_order, (size_t)n * sizeof(int));
     memcpy(form_out, st.best, st.nbytes);
     return st.nbytes;
@@ -454,6 +463,22 @@ static PyObject *rows_tuple(int n, const u64 *adj)
     return t;
 }
 
+static PyObject *int_tuple(int n, const int *vals)
+{
+    PyObject *t = PyTuple_New(n);
+    if (t == NULL)
+        return NULL;
+    for (int i = 0; i < n; i++) {
+        PyObject *v = PyLong_FromLong(vals[i]);
+        if (v == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, v);
+    }
+    return t;
+}
+
 /* ------------------------------------------------------------------------
  * module functions
  * ---------------------------------------------------------------------- */
@@ -461,42 +486,35 @@ static PyObject *rows_tuple(int n, const u64 *adj)
 PyDoc_STRVAR(canonical_labeling_doc,
 "canonical_labeling(n, adj)\n--\n\n"
 "Canonical form of a raw graph.\n\n"
-"Returns ``(form, order)`` where ``form`` is the lexicographically\n"
-"smallest packed upper triangle over all labelings compatible with\n"
-"iterated refinement (a complete isomorphism invariant) and\n"
-"``order[i]`` is the original vertex placed at canonical position\n"
-"``i`` by one labeling attaining it.");
+"Returns ``(form, order, orbits)`` where ``form`` is the\n"
+"lexicographically smallest packed upper triangle over all labelings\n"
+"compatible with iterated refinement (a complete isomorphism\n"
+"invariant), ``order[i]`` is the original vertex placed at canonical\n"
+"position ``i`` by one labeling attaining it, and ``orbits[v]`` is the\n"
+"least vertex in v's orbit under the automorphisms the search found.\n"
+"The search prunes a branch only when a found automorphism maps it\n"
+"onto an explored one, so these generate the whole group.");
 
 static PyObject *py_canonical_labeling(PyObject *self, PyObject *args)
 {
-    int n, nbytes, order[MAXN];
+    int n, nbytes, order[MAXN], orbits[MAXN];
     u64 adj[MAXN];
     unsigned char form[MAXBYTES];
-    PyObject *adj_obj, *order_obj, *form_obj;
+    PyObject *adj_obj, *order_obj, *orbits_obj, *result = NULL;
     if (!PyArg_ParseTuple(args, "iO:canonical_labeling", &n, &adj_obj))
         return NULL;
     if (check_count(n, "n") < 0 || load_adj(adj_obj, adj, n) < 0)
         return NULL;
-    nbytes = run_canonical(n, adj, order, form);
+    nbytes = run_canonical(n, adj, order, orbits, form);
     if (nbytes < 0)
         return NULL;
-    order_obj = PyTuple_New(n);
-    if (order_obj == NULL)
-        return NULL;
-    for (int i = 0; i < n; i++) {
-        PyObject *v = PyLong_FromLong(order[i]);
-        if (v == NULL) {
-            Py_DECREF(order_obj);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(order_obj, i, v);
-    }
-    form_obj = PyBytes_FromStringAndSize((const char *)form, nbytes);
-    if (form_obj == NULL) {
-        Py_DECREF(order_obj);
-        return NULL;
-    }
-    return Py_BuildValue("(NN)", form_obj, order_obj);
+    order_obj = int_tuple(n, order);
+    orbits_obj = int_tuple(n, orbits);
+    if (order_obj != NULL && orbits_obj != NULL)
+        result = Py_BuildValue("(y#OO)", form, (Py_ssize_t)nbytes, order_obj, orbits_obj);
+    Py_XDECREF(order_obj);
+    Py_XDECREF(orbits_obj);
+    return result;
 }
 
 PyDoc_STRVAR(canonical_bytes_doc,
@@ -505,7 +523,7 @@ PyDoc_STRVAR(canonical_bytes_doc,
 
 static PyObject *py_canonical_bytes(PyObject *self, PyObject *args)
 {
-    int n, nbytes, order[MAXN];
+    int n, nbytes, order[MAXN], orbits[MAXN];
     u64 adj[MAXN];
     unsigned char form[MAXBYTES];
     PyObject *adj_obj;
@@ -513,7 +531,7 @@ static PyObject *py_canonical_bytes(PyObject *self, PyObject *args)
         return NULL;
     if (check_count(n, "n") < 0 || load_adj(adj_obj, adj, n) < 0)
         return NULL;
-    nbytes = run_canonical(n, adj, order, form);
+    nbytes = run_canonical(n, adj, order, orbits, form);
     if (nbytes < 0)
         return NULL;
     return PyBytes_FromStringAndSize((const char *)form, nbytes);
@@ -568,33 +586,28 @@ static PyObject *py_contains_subgraph_anchored(PyObject *self, PyObject *args)
 }
 
 PyDoc_STRVAR(augment_children_doc,
-"augment_children(n, adj, parent_canon, fn, fadj)\n--\n\n"
+"augment_children(n, adj, fn, fadj)\n--\n\n"
 "One level of canonical augmentation.\n\n"
 "Extends the ``n``-vertex parent by a new vertex joined to every\n"
-"subset of the old vertices and keeps a child iff (a) it stays free\n"
-"of the forbidden pattern (when one is given), (b) it is not\n"
-"isomorphic to an already kept sibling, and (c) deleting the child's\n"
-"canonically-last vertex gives back the parent's class, so each\n"
-"isomorphism class is produced from exactly one parent.\n\n"
+"subset of the old vertices.  A child is a candidate iff it stays\n"
+"free of the forbidden pattern (when one is given); a class is kept\n"
+"iff some candidate in it has its new vertex in the automorphism\n"
+"orbit of its canonically-last vertex (McKay's rule), that is iff\n"
+"deleting the class's canonically-last vertex gives back the\n"
+"parent's class, so each isomorphism class comes from exactly one\n"
+"parent.  A kept class is emitted as its first candidate in subset\n"
+"order.\n\n"
 "Returns ``[(child_adj, child_canon), ...]`` in subset order.");
-
-static void delete_vertex(int n, const u64 *adj, int u, u64 *out)
-{
-    u64 low = bit(u) - 1;
-    int pos = 0;
-    for (int v = 0; v < n; v++)
-        if (v != u)
-            out[pos++] = (adj[v] & low) | ((adj[v] >> (u + 1)) << u);
-}
 
 static PyObject *py_augment_children(PyObject *self, PyObject *args)
 {
-    int n, fn, order[MAXN];
-    u64 parent[MAXN], child[MAXN], deleted[MAXN], fadj[MAXN];
-    unsigned char form[MAXBYTES], dform[MAXBYTES];
-    PyObject *adj_obj, *canon_obj, *fadj_obj, *out = NULL, *seen = NULL;
-    if (!PyArg_ParseTuple(args, "iOSiO:augment_children",
-                          &n, &adj_obj, &canon_obj, &fn, &fadj_obj))
+    int n, fn, order[MAXN], orbits[MAXN];
+    u64 parent[MAXN], child[MAXN], fadj[MAXN];
+    unsigned char form[MAXBYTES];
+    Py_ssize_t pos = 0;
+    PyObject *adj_obj, *fadj_obj, *form_obj, *item;
+    PyObject *first = NULL, *accepted = NULL, *out = NULL;
+    if (!PyArg_ParseTuple(args, "iOiO:augment_children", &n, &adj_obj, &fn, &fadj_obj))
         return NULL;
     if (n >= MAXN) {
         PyErr_SetString(PyExc_ValueError, "augmentation kernel caps graphs at 64 vertices");
@@ -604,67 +617,51 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         return NULL;
     if (load_adj(adj_obj, parent, n) < 0 || load_adj(fadj_obj, fadj, fn) < 0)
         return NULL;
+    first = PyDict_New(); /* form -> (child_adj, form) of its first candidate */
+    accepted = PySet_New(NULL);
     out = PyList_New(0);
-    seen = PySet_New(NULL);
-    if (out == NULL || seen == NULL)
+    if (first == NULL || accepted == NULL || out == NULL)
         goto error;
     for (u64 mask = 0; mask < bit(n); mask++) {
-        PyObject *form_obj;
-        int nbytes, accepted, found;
+        int nbytes, rc;
         memcpy(child, parent, (size_t)n * sizeof(u64));
         child[n] = mask;
         for (u64 m = mask; m; m &= m - 1)
             child[lowbit(m)] |= bit(n);
         if (fn && anchored(n + 1, child, fn, fadj, n))
             continue;
-        nbytes = run_canonical(n + 1, child, order, form);
+        nbytes = run_canonical(n + 1, child, order, orbits, form);
         if (nbytes < 0)
             goto error;
         form_obj = PyBytes_FromStringAndSize((const char *)form, nbytes);
         if (form_obj == NULL)
             goto error;
-        found = PySet_Contains(seen, form_obj);
-        if (found != 0 || PySet_Add(seen, form_obj) < 0) {
-            Py_DECREF(form_obj);
-            if (found > 0)
-                continue;
-            goto error;
+        rc = PyDict_Contains(first, form_obj); /* -1 stands for an error throughout */
+        if (rc == 0) {
+            PyObject *rows = rows_tuple(n + 1, child);
+            item = rows == NULL ? NULL : PyTuple_Pack(2, rows, form_obj);
+            rc = (item == NULL || PyDict_SetItem(first, form_obj, item) < 0) ? -1 : 1;
+            Py_XDECREF(rows);
+            Py_XDECREF(item);
         }
-        if (order[n] == n) {
-            accepted = 1;
-        } else {
-            int dorder[MAXN], dbytes;
-            delete_vertex(n + 1, child, order[n], deleted);
-            dbytes = run_canonical(n, deleted, dorder, dform);
-            if (dbytes < 0) {
-                Py_DECREF(form_obj);
-                goto error;
-            }
-            accepted = dbytes == PyBytes_GET_SIZE(canon_obj)
-                       && memcmp(dform, PyBytes_AS_STRING(canon_obj), dbytes) == 0;
-        }
-        if (accepted) {
-            PyObject *rows = rows_tuple(n + 1, child), *item;
-            if (rows == NULL) {
-                Py_DECREF(form_obj);
-                goto error;
-            }
-            item = PyTuple_Pack(2, rows, form_obj);
-            Py_DECREF(rows);
-            if (item == NULL || PyList_Append(out, item) < 0) {
-                Py_XDECREF(item);
-                Py_DECREF(form_obj);
-                goto error;
-            }
-            Py_DECREF(item);
-        }
+        if (rc > 0 && orbits[n] == orbits[order[n]])
+            rc = PySet_Add(accepted, form_obj);
         Py_DECREF(form_obj);
+        if (rc < 0)
+            goto error;
     }
-    Py_DECREF(seen);
+    while (PyDict_Next(first, &pos, &form_obj, &item)) {
+        int found = PySet_Contains(accepted, form_obj);
+        if (found < 0 || (found && PyList_Append(out, item) < 0))
+            goto error;
+    }
+    Py_DECREF(first);
+    Py_DECREF(accepted);
     return out;
 error:
+    Py_XDECREF(first);
+    Py_XDECREF(accepted);
     Py_XDECREF(out);
-    Py_XDECREF(seen);
     return NULL;
 }
 

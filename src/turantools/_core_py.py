@@ -78,6 +78,8 @@ def _refine(n, adj, cells):
 
 
 class _UnionFind:
+    """Disjoint sets of vertices; each set's root is its least vertex."""
+
     __slots__ = ("parent",)
 
     def __init__(self, n):
@@ -93,7 +95,7 @@ class _UnionFind:
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            self.parent[ra] = rb
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 class _CanonSearch:
@@ -113,7 +115,14 @@ class _CanonSearch:
             by_degree.setdefault(adj[v].bit_count(), []).append(v)
         cells = [by_degree[d] for d in sorted(by_degree)]
         self._search(_refine(n, adj, cells), [])
-        return self.best, tuple(self.best_order)
+        uf = _UnionFind(n)
+        for g in self.gens:
+            for v in range(n):
+                uf.union(v, g[v])
+        # tuple() of a generator resizes its result outside the tuple free
+        # list, and freeing those tuples fills it: build from a list
+        orbits = [uf.find(v) for v in range(n)]
+        return self.best, tuple(self.best_order), tuple(orbits)
 
     def _record_leaf(self, order):
         bts = _pack_upper_triangle(self.n, self.adj, order)
@@ -179,16 +188,19 @@ class _CanonSearch:
 def canonical_labeling(n, adj):
     """Canonical form of a raw graph.
 
-    Returns ``(form, order)`` where ``form`` is the lexicographically
-    smallest packed upper triangle over all labelings compatible with
-    iterated refinement (a complete isomorphism invariant) and
-    ``order[i]`` is the original vertex placed at canonical position
-    ``i`` by one labeling attaining it.
+    Returns ``(form, order, orbits)`` where ``form`` is the
+    lexicographically smallest packed upper triangle over all labelings
+    compatible with iterated refinement (a complete isomorphism
+    invariant), ``order[i]`` is the original vertex placed at canonical
+    position ``i`` by one labeling attaining it, and ``orbits[v]`` is the
+    least vertex in v's orbit under the automorphisms the search found.
+    The search prunes a branch only when a found automorphism maps it
+    onto an explored one, so these generate the whole group.
     """
     if n == 0:
-        return b"", ()
+        return b"", (), ()
     if n == 1:
-        return b"", (0,)
+        return b"", (0,), (0,)
     return _CanonSearch(n, adj).run()
 
 
@@ -282,22 +294,25 @@ def contains_subgraph_anchored(gn, gadj, fn, fadj, anchor):
 # ---------------------------------------------------------------------------
 
 
-def augment_children(n, adj, parent_canon, fn, fadj):
+def augment_children(n, adj, fn, fadj):
     """One level of canonical augmentation.
 
     Extends the ``n``-vertex parent by a new vertex joined to every
-    subset of the old vertices and keeps a child iff (a) it stays free
-    of the forbidden pattern (when one is given), (b) it is not
-    isomorphic to an already kept sibling, and (c) deleting the child's
-    canonically-last vertex gives back the parent's class, so each
-    isomorphism class is produced from exactly one parent.
+    subset of the old vertices.  A child is a candidate iff it stays
+    free of the forbidden pattern (when one is given); a class is kept
+    iff some candidate in it has its new vertex in the automorphism
+    orbit of its canonically-last vertex (McKay's rule), that is iff
+    deleting the class's canonically-last vertex gives back the
+    parent's class, so each isomorphism class comes from exactly one
+    parent.  A kept class is emitted as its first candidate in subset
+    order.
 
     Returns ``[(child_adj, child_canon), ...]`` in subset order.
     """
     if n >= 64:
         raise ValueError("augmentation kernel caps graphs at 64 vertices")
-    out = []
-    seen = set()
+    first = {}
+    accepted = set()
     newbit = 1 << n
     base = list(adj) + [0]
     for mask in range(1 << n):
@@ -311,27 +326,8 @@ def augment_children(n, adj, parent_canon, fn, fadj):
         child = tuple(child)
         if fn and contains_subgraph_anchored(n + 1, child, fn, fadj, n):
             continue
-        form, order = canonical_labeling(n + 1, child)
-        if form in seen:
-            continue
-        seen.add(form)
-        last = order[n]
-        if last == n:
-            accepted = True
-        else:
-            deleted = _delete_vertex(n + 1, child, last)
-            accepted = canonical_bytes(n, deleted) == parent_canon
-        if accepted:
-            out.append((child, form))
-    return out
-
-
-def _delete_vertex(n, adj, u):
-    low = (1 << u) - 1
-    rows = []
-    for v in range(n):
-        if v == u:
-            continue
-        row = adj[v]
-        rows.append((row & low) | ((row >> (u + 1)) << u))
-    return tuple(rows)
+        form, order, orbits = canonical_labeling(n + 1, child)
+        first.setdefault(form, child)
+        if orbits[n] == orbits[order[n]]:
+            accepted.add(form)
+    return [(child, form) for form, child in first.items() if form in accepted]

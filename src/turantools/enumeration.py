@@ -1,14 +1,16 @@
 """Isomorph-free graph generation via canonical augmentation, plus
 graph6 corpus ingestion.
 
-Graphs are grown one vertex at a time; a child is kept only when its
-canonically-last vertex deletes back to the parent's class, so each
-isomorphism class is produced exactly once with no cross-level
-bookkeeping.  Pattern pruning cuts whole subtrees: containment is
-monotone under adding vertices and edges, so a child containing the
-forbidden graph can never lead to a free descendant.  Levels are
-sorted by canonical form, so classes come out by size and then by
-canonical form, and one walk serves every size up to the largest.
+Graphs are grown one vertex at a time; a child class is kept only
+when some child in it has its new vertex in the automorphism orbit of
+its canonically-last vertex (McKay's rule), which holds iff deleting
+that vertex gives back the parent's class.  So each isomorphism class
+is produced exactly once with no cross-level bookkeeping.  Pattern
+pruning cuts whole subtrees: containment is monotone under adding
+vertices and edges, so a child containing the forbidden graph can
+never lead to a free descendant.  Levels are sorted by canonical form,
+so classes come out by size and then by canonical form, and one walk
+serves every size up to the largest.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ GENERATION_CAP = 10  # practical; the bitset kernels themselves allow 64
 
 
 def _expand_parent(args):
-    size, adj, canon, fn, fadj = args
-    return _kernels.augment_children(size, adj, canon, fn, fadj)
+    return _kernels.augment_children(*args)
 
 
 def _levels(n: int, prune: ForbiddenSpec | None, jobs: int) -> Iterator[list]:
     """Each level 1..n, sorted by canonical form, from one walk and one pool."""
     fn, fadj = (prune.graph.n, prune.graph.adj) if prune else (0, ())
-    level = [((0,), _kernels.canonical_bytes(1, (0,)))]
+    level = [((0,), b"")]  # K1: an empty packed triangle
     if prune is not None and not is_free(Graph.from_adj((0,)), prune):
         return
     yield level
@@ -42,7 +43,7 @@ def _levels(n: int, prune: ForbiddenSpec | None, jobs: int) -> Iterator[list]:
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for size in range(1, n):
-            tasks = [(size, adj, canon, fn, fadj) for adj, canon in level]
+            tasks = [(size, adj, fn, fadj) for adj, _ in level]
             if pool is None:
                 batches = map(_expand_parent, tasks)
             else:
@@ -90,19 +91,22 @@ def ingest(
 ) -> Iterator[Graph]:
     """Stream graphs from a newline-delimited graph6 file.
 
-    Malformed lines raise ParseError carrying the 1-based line number;
-    ``dedupe`` keeps one representative per isomorphism class.
+    Lines may end in LF, CRLF or a lone CR.  Malformed lines raise
+    ParseError carrying the 1-based line number; ``dedupe`` keeps one
+    representative per isomorphism class.
     """
     seen: set | None = set() if dedupe else None
-    with open(path, "rb") as fh:
+    # surrogateescape turns each non-ASCII byte into one character
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            if not line.isascii():
+                offset = next(i for i, ch in enumerate(line) if not ch.isascii())
+                raise ParseError("non-ASCII byte", offset=offset, line=lineno)
             try:
-                g = from_graph6(line.decode("ascii"))
-            except UnicodeDecodeError as exc:
-                raise ParseError("non-ASCII byte", offset=exc.start, line=lineno) from exc
+                g = from_graph6(line)
             except ParseError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
             if prune is not None and not is_free(g, prune):

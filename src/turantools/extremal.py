@@ -59,17 +59,6 @@ class ExtremalReport:
         return asdict(self)
 
 
-def _edge_argmax(graphs: Iterable[Graph]) -> tuple[int, list[Graph]]:
-    """The largest edge count and every graph attaining it, in input order."""
-    ex, members = -1, []
-    for g in graphs:
-        if g.m > ex:
-            ex, members = g.m, [g]
-        elif g.m == ex:
-            members.append(g)
-    return ex, members
-
-
 def _scan(graphs: Iterable[Graph]) -> tuple:
     """One pass over the n-vertex classes tracking both extremal sets.
 
@@ -107,24 +96,6 @@ def _scan(graphs: Iterable[Graph]) -> tuple:
             winners.append(cand)
     lam = max(w[0] for w in winners)
     return ex, edge_best, lam, [w[1] for w in winners], len(finalists) > 1
-
-
-def ex_number(
-    n: int, spec: ForbiddenSpec, jobs: int = 1
-) -> tuple[int, list[Graph]]:
-    """Turan number ex(n, F) with all attaining classes (canonical labels)."""
-    ex, members = _edge_argmax(generate(n, prune=spec, jobs=jobs))
-    return ex, _canonical_sorted(members)
-
-
-def spectral_ex(n: int, spec: ForbiddenSpec, jobs: int = 1) -> tuple[float, list[Graph], bool]:
-    """Maximum spectral radius over F-free classes with the argmax set.
-
-    Returns ``(lambda_star, members, exact)``; members carry canonical
-    labels and ``exact`` marks an argmax certified by exact arithmetic.
-    """
-    _, _, lam, winners, exact = _scan(generate(n, prune=spec, jobs=jobs))
-    return lam, _canonical_sorted(winners), exact
 
 
 def _canonical_sorted(graphs: list[Graph]) -> list[Graph]:
@@ -189,7 +160,7 @@ def excess_estimate(
 ) -> tuple[list[tuple[int, int]], str]:
     """The sequence a_n = ex(n,F) - e(T_{n,r}) plus a stabilization note."""
     levels = groupby(generate(n_max, spec, jobs, n_min=n_min), key=attrgetter("n"))
-    seq = [(n, _edge_argmax(graphs)[0] - turan_edges(n, min(n, spec.r))) for n, graphs in levels]
+    seq = [(n, max(g.m for g in graphs) - turan_edges(n, min(n, spec.r))) for n, graphs in levels]
     tail = [a for _, a in seq]
     k = 1
     while k < len(tail) and tail[-1 - k] == tail[-1]:

@@ -339,7 +339,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
     _check_bitset_cap(g.n)
-    _, order = _kernels.canonical_labeling(g.n, g.adj)
+    _, order, _ = _kernels.canonical_labeling(g.n, g.adj)
     perm = [0] * g.n
     for pos, v in enumerate(order):
         perm[v] = pos

@@ -1,4 +1,14 @@
+import importlib.util
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
 import pytest
+
+from turantools import _core_py
+
+CORE_C = Path(_core_py.__file__).with_name("_core.c")
 
 
 @pytest.fixture
@@ -37,3 +47,20 @@ def pool_starts(monkeypatch):
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     return started
+
+
+@pytest.fixture(scope="session")
+def core(tmp_path_factory):
+    """turantools._core compiled from source, not entered in sys.modules."""
+    link = (sysconfig.get_config_var("LDSHARED") or "cc -shared").split()
+    if shutil.which(link[0]) is None:
+        pytest.skip(f"no C compiler ({link[0]})")
+    so = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "-fPIC").split(), "-O3",
+           "-I", sysconfig.get_paths()["include"], str(CORE_C), "-o", str(so)]
+    build = subprocess.run(cmd, capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    spec = importlib.util.spec_from_file_location("turantools._core", so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -14,8 +14,8 @@ import numpy as np
 
 from turantools.enumeration import count_classes, generate
 from turantools.extremal import (
+    build_report,
     excess_estimate,
-    spectral_ex,
     verify_containment,
 )
 from turantools.graphs import (
@@ -211,15 +211,14 @@ def test_criterion_09_spectral_lower_bound(announce):
     with criterion(announce, 9, desc):
         for spec, a, lo, hi in [(K3, 0, 4, 9), (F2, 1, 5, 8)]:
             r = spec.r
-            for n in range(lo, hi + 1):
-                lam, members, _ = spectral_ex(n, spec)
+            for rep in verify_containment(lo, hi, spec):
+                n, lam = rep.n, rep.lambda_star
                 bound = (1 - 1 / r) * n - r / (4 * n) + 2 * a / n
                 assert lam >= bound, (spec.source, n, lam, bound)
-                for g in members:
-                    assert spectral_radius(g).lam >= bound - 1e-12
+                for s in rep.spectral_extremal:
+                    assert spectral_radius(from_graph6(s)).lam >= bound - 1e-12
         # the quoted example: n=6, K3 gives 3 >= 2.9167
-        lam6, _, _ = spectral_ex(6, K3)
-        assert lam6 >= 2.9167 - 1e-4
+        assert build_report(6, K3).lambda_star >= 2.9167 - 1e-4
 
 
 def test_criterion_10_turan_structural_zero_slack(announce):

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from turantools import cli, enumeration
 from turantools.enumeration import count_classes, generate, ingest
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import canonical_form, complete_graph, to_graph6, write_graph6_file
@@ -89,6 +92,23 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(7, n_min=8)
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--n", "8"], "ff71314578f47f187c3491482dc828e0972e248efe0c91750b939ce7243168c2"),
+            (["--n", "8", "--forbid", "F2"],
+             "1379823ce3042dc7fce5495ab25a75770232d5f9954d053b52f5f819b31ad0ff"),
+            (["--n", "10", "--forbid", "K3"],
+             "935d57af1fc6a36d8404179782916daddf7519d4ebaa6ae9ff2e656fdf5fa23b"),
+        ],
+        ids=["all-8", "F2-8", "K3-10"],
+    )
+    def test_compiled_walk_output_is_pinned(self, core, monkeypatch, capsys, argv, digest):
+        # digests of gen stdout under the earlier delete-and-relabel acceptance rule
+        monkeypatch.setattr(enumeration, "_kernels", core)
+        assert cli.main(["gen", "--jobs", "1", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
 
 class TestIngest:
     def test_prune_filters(self, tmp_path):
@@ -123,6 +143,23 @@ class TestIngest:
         with pytest.raises(ParseError) as err:
             list(ingest(path))
         assert err.value.line == 2 and "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"])
+    def test_line_endings_read_like_newlines(self, tmp_path, end):
+        lines = [to_graph6(g).encode("ascii") for g in generate(4)]
+        unix, other = tmp_path / "unix.g6", tmp_path / "other.g6"
+        unix.write_bytes(b"\n".join(lines) + b"\n")
+        other.write_bytes(end.join(lines) + end)
+        graphs = list(ingest(other))
+        assert len(graphs) == 11
+        assert graphs == list(ingest(unix))
+
+    def test_non_ascii_offset_after_carriage_returns(self, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_bytes(b"D??\r\r C\xff\r")
+        with pytest.raises(ParseError) as err:
+            list(ingest(path))
+        assert (err.value.line, err.value.offset) == (3, 1)
 
     def test_round_trip_with_generate(self, tmp_path):
         path = tmp_path / "graphs.g6"

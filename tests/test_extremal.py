@@ -8,9 +8,7 @@ from turantools.enumeration import GENERATION_CAP
 from turantools.extremal import (
     TIE_WINDOW,
     build_report,
-    ex_number,
     excess_estimate,
-    spectral_ex,
     turan_edges,
     verify_containment,
 )
@@ -61,74 +59,69 @@ class TestTuranEdges:
             turan_edges(4, 5)
 
 
+def _graphs(g6s):
+    return [from_graph6(s) for s in g6s]
+
+
+def _forms(g6s):
+    return [canonical_form(g) for g in _graphs(g6s)]
+
+
 class TestExNumber:
     def test_triangle_small(self):
-        ex, members = ex_number(5, K3)
-        assert ex == 6
-        assert [canonical_form(g) for g in members] == [
-            canonical_form(complete_multipartite([2, 3]))
-        ]
-        ex, members = ex_number(4, K3)
-        assert ex == 4
-        assert canonical_form(members[0]) == canonical_form(cycle_graph(4))
+        rep = build_report(5, K3)
+        assert rep.ex == 6
+        assert _forms(rep.edge_extremal) == [canonical_form(complete_multipartite([2, 3]))]
+        rep = build_report(4, K3)
+        assert rep.ex == 4
+        assert _forms(rep.edge_extremal)[0] == canonical_form(cycle_graph(4))
 
     def test_bowtie_n5(self):
-        ex, members = ex_number(5, F2)
-        assert ex == 7
-        assert all(is_free(g, F2) and g.m == 7 for g in members)
+        rep = build_report(5, F2)
+        assert rep.ex == 7
+        assert all(is_free(g, F2) and g.m == 7 for g in _graphs(rep.edge_extremal))
 
     def test_turan_theorem_small(self):
         for spec, r in [(K3, 2), (K4, 3)]:
-            for n in range(r + 1, 8):
-                ex, members = ex_number(n, spec)
-                assert ex == turan_edges(n, r)
-                forms = {canonical_form(g) for g in members}
-                assert canonical_form(turan_graph(n, r)) in forms
+            for rep in verify_containment(r + 1, 7, spec):
+                assert rep.ex == turan_edges(rep.n, r)
+                assert canonical_form(turan_graph(rep.n, r)) in _forms(rep.edge_extremal)
 
     def test_versus_labeled_bruteforce(self):
         for spec in [K3, F2]:
-            for n in range(2, 6):
-                want = max_edges_labeled(n, lambda g: is_free(g, spec))
-                got, _ = ex_number(n, spec)
-                assert got == want
+            for rep in verify_containment(2, 5, spec):
+                assert rep.ex == max_edges_labeled(rep.n, lambda g: is_free(g, spec))
 
     def test_maximality_witness(self):
         # adding any non-edge to an edge-extremal graph creates the pattern
         for spec in [K3, F2]:
-            for n in range(spec.graph.n, 8):
-                _, members = ex_number(n, spec)
-                for g in members:
+            for rep in verify_containment(spec.graph.n, 7, spec):
+                for g in _graphs(rep.edge_extremal):
                     for u, v in g.non_edges():
                         assert contains_subgraph(g.with_edge(u, v), spec.graph)
 
 
 class TestSpectralEx:
     def test_triangle_examples(self):
-        lam, members, _ = spectral_ex(5, K3)
-        assert lam == pytest.approx(math.sqrt(6), abs=1e-9)
-        assert [canonical_form(g) for g in members] == [
-            canonical_form(complete_multipartite([2, 3]))
-        ]
-        lam, members, _ = spectral_ex(4, K3)
-        assert lam == pytest.approx(2.0, abs=1e-9)
-        assert canonical_form(members[0]) == canonical_form(cycle_graph(4))
-        lam, members, _ = spectral_ex(3, K3)
-        assert lam == pytest.approx(math.sqrt(2), abs=1e-9)
-        assert canonical_form(members[0]) == canonical_form(path_graph(3))
+        rep3, rep4, rep5 = verify_containment(3, 5, K3)
+        assert rep5.lambda_star == pytest.approx(math.sqrt(6), abs=1e-9)
+        assert _forms(rep5.spectral_extremal) == [canonical_form(complete_multipartite([2, 3]))]
+        assert rep4.lambda_star == pytest.approx(2.0, abs=1e-9)
+        assert _forms(rep4.spectral_extremal)[0] == canonical_form(cycle_graph(4))
+        assert rep3.lambda_star == pytest.approx(math.sqrt(2), abs=1e-9)
+        assert _forms(rep3.spectral_extremal)[0] == canonical_form(path_graph(3))
 
     def test_members_attain_lambda(self):
-        lam, members, _ = spectral_ex(6, F2)
-        for g in members:
-            assert spectral_radius(g).lam == pytest.approx(lam, abs=1e-9)
+        rep = build_report(6, F2)
+        for g in _graphs(rep.spectral_extremal):
+            assert spectral_radius(g).lam == pytest.approx(rep.lambda_star, abs=1e-9)
             assert is_free(g, F2)
 
     def test_spectral_extremal_is_turan(self):
-        for n in range(3, 8):
-            lam, members, _ = spectral_ex(n, K3)
-            assert lam == pytest.approx(secular_lambda(turan_parts(n, 2)), abs=1e-9)
-            assert [canonical_form(g) for g in members] == [
-                canonical_form(turan_graph(n, 2))
-            ]
+        for rep in verify_containment(3, 7, K3):
+            n = rep.n
+            assert rep.lambda_star == pytest.approx(secular_lambda(turan_parts(n, 2)), abs=1e-9)
+            assert _forms(rep.spectral_extremal) == [canonical_form(turan_graph(n, 2))]
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-2])
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from turantools.graphs import (
     complete_graph,
     cycle_graph,
+    from_graph6,
     turan_graph,
 )
 from turantools.patterns import friendship_graph, parse_forbidden
@@ -178,12 +179,11 @@ class TestStructuralChecks:
         assert floor.lhs == pytest.approx(y1, abs=1e-9)
 
     def test_bowtie_extremal_margin(self):
-        from turantools.extremal import spectral_ex
+        from turantools.extremal import build_report
 
         F2 = parse_forbidden("F2")
-        _, members, _ = spectral_ex(6, F2)
-        for g in members:
-            checks = structural_checks(g, F2, 1)
+        for s in build_report(6, F2).spectral_extremal:
+            checks = structural_checks(from_graph6(s), F2, 1)
             by_id = {c.check_id: c for c in checks}
             assert by_id["internal_minus_missing"].holds  # e_in - e_out <= 1
 
