@@ -384,18 +384,31 @@ static int embed(int gn, const u64 *gadj, int fn, const int *order,
     return 0;
 }
 
-/* Some copy of the pattern in the host uses vertex anchor. */
-static int anchored(int gn, const u64 *gadj, int fn, const u64 *fadj, int anchor)
+/* The pattern's search orders, one per start vertex: order[f] begins
+ * with f.  Built once per pattern, used for every anchored test. */
+typedef struct {
+    int fn;
+    int fdegs[MAXN];
+    int order[MAXN][MAXN];
+    u64 backmask[MAXN][MAXN];
+} AnchoredPlan;
+
+static void plan_anchored(int fn, const u64 *fadj, AnchoredPlan *plan)
 {
-    int order[MAXN], fdegs[MAXN];
-    u64 backmask[MAXN];
-    if (fn == 0 || fn > gn)
+    plan->fn = fn;
+    for (int f = 0; f < fn; f++)
+        pattern_order(fn, fadj, f, plan->order[f], plan->backmask[f], plan->fdegs);
+}
+
+/* Some copy of the pattern in the host uses vertex anchor. */
+static int anchored(int gn, const u64 *gadj, const AnchoredPlan *plan, int anchor)
+{
+    if (plan->fn == 0 || plan->fn > gn)
         return 0;
-    for (int f = 0; f < fn; f++) {
-        pattern_order(fn, fadj, f, order, backmask, fdegs);
-        if (embed(gn, gadj, fn, order, backmask, fdegs, bit(anchor)))
+    for (int f = 0; f < plan->fn; f++)
+        if (embed(gn, gadj, plan->fn, plan->order[f], plan->backmask[f], plan->fdegs,
+                  bit(anchor)))
             return 1;
-    }
     return 0;
 }
 
@@ -568,6 +581,7 @@ static PyObject *py_contains_subgraph_anchored(PyObject *self, PyObject *args)
 {
     int gn, fn, anchor;
     u64 gadj[MAXN], fadj[MAXN];
+    AnchoredPlan plan;
     PyObject *gadj_obj, *fadj_obj;
     if (!PyArg_ParseTuple(args, "iOiOi:contains_subgraph_anchored",
                           &gn, &gadj_obj, &fn, &fadj_obj, &anchor))
@@ -582,7 +596,8 @@ static PyObject *py_contains_subgraph_anchored(PyObject *self, PyObject *args)
     }
     if (load_adj(gadj_obj, gadj, gn) < 0 || load_adj(fadj_obj, fadj, fn) < 0)
         return NULL;
-    return PyBool_FromLong(anchored(gn, gadj, fn, fadj, anchor));
+    plan_anchored(fn, fadj, &plan);
+    return PyBool_FromLong(anchored(gn, gadj, &plan, anchor));
 }
 
 PyDoc_STRVAR(augment_children_doc,
@@ -597,13 +612,20 @@ PyDoc_STRVAR(augment_children_doc,
 "parent's class, so each isomorphism class comes from exactly one\n"
 "parent.  A kept class is emitted as its first candidate in subset\n"
 "order.\n\n"
+"Only subsets that give the new vertex the maximum degree are tried:\n"
+"the canonically-last vertex lies in the maximum-degree cell, so the\n"
+"orbit test fails on every other child, and every candidate of a\n"
+"kept class shares its new vertex's degree e(child) - e(parent), so\n"
+"skipping the others never changes which candidate a class is\n"
+"emitted as.\n\n"
 "Returns ``[(child_adj, child_canon), ...]`` in subset order.");
 
 static PyObject *py_augment_children(PyObject *self, PyObject *args)
 {
-    int n, fn, order[MAXN], orbits[MAXN];
-    u64 parent[MAXN], child[MAXN], fadj[MAXN];
+    int n, fn, top = 0, order[MAXN], orbits[MAXN];
+    u64 parent[MAXN], child[MAXN], fadj[MAXN], atleast[MAXN + 1];
     unsigned char form[MAXBYTES];
+    AnchoredPlan plan;
     Py_ssize_t pos = 0;
     PyObject *adj_obj, *fadj_obj, *form_obj, *item;
     PyObject *first = NULL, *accepted = NULL, *out = NULL;
@@ -617,18 +639,30 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         return NULL;
     if (load_adj(adj_obj, parent, n) < 0 || load_adj(fadj_obj, fadj, fn) < 0)
         return NULL;
+    plan_anchored(fn, fadj, &plan);
+    /* atleast[k]: the old vertices of degree >= k, which a k-subset must avoid */
+    memset(atleast, 0, sizeof atleast);
+    for (int v = 0; v < n; v++) {
+        int d = popcount(parent[v]);
+        if (d > top)
+            top = d;
+        for (int k = 0; k <= d && k <= n; k++)
+            atleast[k] |= bit(v);
+    }
     first = PyDict_New(); /* form -> (child_adj, form) of its first candidate */
     accepted = PySet_New(NULL);
     out = PyList_New(0);
     if (first == NULL || accepted == NULL || out == NULL)
         goto error;
     for (u64 mask = 0; mask < bit(n); mask++) {
-        int nbytes, rc;
+        int nbytes, rc, k = popcount(mask);
+        if (k < top || (mask & atleast[k]))
+            continue;
         memcpy(child, parent, (size_t)n * sizeof(u64));
         child[n] = mask;
         for (u64 m = mask; m; m &= m - 1)
             child[lowbit(m)] |= bit(n);
-        if (fn && anchored(n + 1, child, fn, fadj, n))
+        if (fn && anchored(n + 1, child, &plan, n))
             continue;
         nbytes = run_canonical(n + 1, child, order, orbits, form);
         if (nbytes < 0)

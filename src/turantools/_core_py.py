@@ -13,6 +13,8 @@ parity of their outputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 BACKEND = "python"
 
 _FULL = (1 << 64) - 1
@@ -213,8 +215,13 @@ def canonical_bytes(n, adj):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _pattern_order(fn, fadj, start=None):
-    """Order pattern vertices so each has many already-placed neighbors."""
+    """Order pattern vertices so each has many already-placed neighbors.
+
+    Memoized: callers pass ``fadj`` as a tuple, and a walk asks for the
+    same few patterns at every candidate.
+    """
     degs = [fadj[v].bit_count() for v in range(fn)]
     order = []
     placed = 0
@@ -231,13 +238,12 @@ def _pattern_order(fn, fadj, start=None):
                 best, best_key = v, key
         order.append(best)
         placed |= 1 << best
-    back = []
-    for i, v in enumerate(order):
-        back.append([j for j in range(i) if (fadj[v] >> order[j]) & 1])
-    return order, back, degs
+    back = tuple(tuple(j for j in range(i) if (fadj[v] >> order[j]) & 1)
+                 for i, v in enumerate(order))
+    return tuple(order), back, tuple(degs)
 
 
-def _embed(gn, gadj, fn, fadj, order, back, fdegs, first_candidates):
+def _embed(gn, gadj, fn, order, back, fdegs, first_candidates):
     gdegs = [gadj[v].bit_count() for v in range(gn)]
     full = (1 << gn) - 1
     assigned = [0] * fn
@@ -267,10 +273,10 @@ def contains_subgraph(gn, gadj, fn, fadj):
     """True iff some injection maps every pattern edge onto a host edge."""
     if fn > gn:
         return False
-    order, back, fdegs = _pattern_order(fn, fadj)
     if fn == 0:
         return True
-    return _embed(gn, gadj, fn, fadj, order, back, fdegs, (1 << gn) - 1)
+    order, back, fdegs = _pattern_order(fn, tuple(fadj))
+    return _embed(gn, gadj, fn, order, back, fdegs, (1 << gn) - 1)
 
 
 def contains_subgraph_anchored(gn, gadj, fn, fadj, anchor):
@@ -282,9 +288,10 @@ def contains_subgraph_anchored(gn, gadj, fn, fadj, anchor):
     """
     if fn == 0 or fn > gn:
         return False
+    fadj = tuple(fadj)
     for f in range(fn):
-        order, back, fdegs = _pattern_order(fn, fadj, start=f)
-        if _embed(gn, gadj, fn, fadj, order, back, fdegs, 1 << anchor):
+        order, back, fdegs = _pattern_order(fn, fadj, f)
+        if _embed(gn, gadj, fn, order, back, fdegs, 1 << anchor):
             return True
     return False
 
@@ -307,6 +314,13 @@ def augment_children(n, adj, fn, fadj):
     parent.  A kept class is emitted as its first candidate in subset
     order.
 
+    Only subsets that give the new vertex the maximum degree are tried:
+    the canonically-last vertex lies in the maximum-degree cell, so the
+    orbit test fails on every other child, and every candidate of a
+    kept class shares its new vertex's degree e(child) - e(parent), so
+    skipping the others never changes which candidate a class is
+    emitted as.
+
     Returns ``[(child_adj, child_canon), ...]`` in subset order.
     """
     if n >= 64:
@@ -315,7 +329,14 @@ def augment_children(n, adj, fn, fadj):
     accepted = set()
     newbit = 1 << n
     base = list(adj) + [0]
+    degs = [adj[v].bit_count() for v in range(n)]
+    top = max(degs, default=0)
+    # atleast[k]: the old vertices of degree >= k, which a k-subset must avoid
+    atleast = [sum(1 << v for v in range(n) if degs[v] >= k) for k in range(n + 1)]
     for mask in range(1 << n):
+        k = mask.bit_count()
+        if k < top or mask & atleast[k]:
+            continue
         child = base.copy()
         child[n] = mask
         m = mask

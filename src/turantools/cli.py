@@ -125,18 +125,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_graph6(sink, graphs) -> int:
+    count = 0
+    for g in graphs:
+        sink.write(to_graph6(g) + "\n")
+        count += 1
+    return count
+
+
+def _write_graph6_file(path, graphs) -> int:
+    """Write to a temp file beside ``path``, then rename it over ``path``:
+    a walk that fails midway leaves an existing file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    sink = open(tmp, "x", encoding="ascii")  # same mode as open(path, "w")
+    try:
+        with sink:
+            count = _write_graph6(sink, graphs)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return count
+
+
 def _cmd_gen(args) -> int:
     spec = parse_forbidden(args.forbid) if args.forbid else None
     graphs = generate(args.n, prune=spec, jobs=args.jobs)  # a bad n raises before --out opens
-    count = 0
-    sink = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
-    try:
-        for g in graphs:
-            sink.write(to_graph6(g) + "\n")
-            count += 1
-    finally:
-        if args.out:
-            sink.close()
+    if args.out:
+        count = _write_graph6_file(args.out, graphs)
+    else:
+        count = _write_graph6(sys.stdout, graphs)
     print(f"{count} classes", file=sys.stderr)
     return EXIT_OK
 

@@ -5,12 +5,15 @@ Graphs are grown one vertex at a time; a child class is kept only
 when some child in it has its new vertex in the automorphism orbit of
 its canonically-last vertex (McKay's rule), which holds iff deleting
 that vertex gives back the parent's class.  So each isomorphism class
-is produced exactly once with no cross-level bookkeeping.  Pattern
-pruning cuts whole subtrees: containment is monotone under adding
-vertices and edges, so a child containing the forbidden graph can
-never lead to a free descendant.  Levels are sorted by canonical form,
-so classes come out by size and then by canonical form, and one walk
-serves every size up to the largest.
+is produced exactly once with no cross-level bookkeeping.  Only
+subsets that give the new vertex the maximum degree are tried, since
+the canonically-last vertex always has the maximum degree and the
+orbit test fails on every other child.  Pattern pruning cuts whole
+subtrees: containment is monotone under adding vertices and edges, so
+a child containing the forbidden graph can never lead to a free
+descendant.  Levels are sorted by canonical form, so classes come out
+by size and then by canonical form, and one walk serves every size up
+to the largest.
 """
 
 from __future__ import annotations

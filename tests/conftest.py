@@ -56,7 +56,9 @@ def core(tmp_path_factory):
     if shutil.which(link[0]) is None:
         pytest.skip(f"no C compiler ({link[0]})")
     so = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "-fPIC").split(), "-O3",
+    # -Werror: a warning in _core.c fails the parity tests, not just the log
+    cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "-fPIC").split(),
+           "-O3", "-Wall", "-Werror",
            "-I", sysconfig.get_paths()["include"], str(CORE_C), "-o", str(so)]
     build = subprocess.run(cmd, capture_output=True, text=True)
     assert build.returncode == 0, build.stderr

@@ -1,12 +1,16 @@
 import argparse
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
+from turantools import cli
 from turantools.cli import build_parser, main
+from turantools.graphs import to_graph6
 
 
 def run_cli(args, capsys):
@@ -25,9 +29,14 @@ class TestGen:
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "c.g6"
+        path.write_bytes(b"C~\n" * 20)
         code, out, _ = run_cli(["gen", "--n", "4", "--out", str(path)], capsys)
         assert code == 0 and out == ""
         assert len(path.read_text().splitlines()) == 11
+        assert [p.name for p in tmp_path.iterdir()] == ["c.g6"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
     def test_rejected_size_keeps_out_file(self, tmp_path, capsys):
         path = tmp_path / "c.g6"
@@ -35,6 +44,24 @@ class TestGen:
         code, _, err = run_cli(["gen", "--n", "11", "--out", str(path)], capsys)
         assert code == 4 and "size cap" in err
         assert path.read_bytes() == b"C~\n"
+
+    def test_failed_walk_keeps_out_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c.g6"
+        path.write_bytes(b"C~\n")
+        written = []
+
+        def failing_to_graph6(g):
+            if len(written) == 3:
+                raise RuntimeError("walk failed")
+            written.append(g)
+            return to_graph6(g)
+
+        monkeypatch.setattr(cli, "to_graph6", failing_to_graph6)
+        code, _, err = run_cli(["gen", "--n", "4", "--out", str(path)], capsys)
+        assert code == 1 and "walk failed" in err
+        assert len(written) == 3
+        assert path.read_bytes() == b"C~\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.g6"]
 
     def test_jobs_byte_identical(self, capsys):
         _, out1, _ = run_cli(["gen", "--n", "6", "--forbid", "K3", "--jobs", "1"], capsys)

@@ -1,5 +1,6 @@
 """Byte-for-byte parity between the compiled and pure-Python kernels,
-and brute-force checks of the orbits and representatives both return.
+brute-force checks of the orbits and representatives both return, and
+an every-subset reference for the max-degree prefilter of augmentation.
 
 The compiled twin (the ``core`` fixture) is built from ``_core.c`` once
 per session into a temporary directory, so these tests run wherever a
@@ -27,6 +28,7 @@ from turantools.graphs import (
     to_graph6,
     turan_graph,
 )
+from turantools.patterns import parse_forbidden
 
 from oracles import random_graph
 
@@ -89,6 +91,21 @@ def test_containment_parity(core):
         assert core.contains_subgraph_anchored(
             g.n, g.adj, f.n, f.adj, anchor
         ) == _core_py.contains_subgraph_anchored(g.n, g.adj, f.n, f.adj, anchor)
+
+
+def test_containment_parity_with_list_rows(core):
+    # the pure twin memoizes per pattern, so a list pattern must still work
+    rng = random.Random(17)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 8))
+        f = random_graph(rng, rng.randint(1, 5))
+        anchor = rng.randrange(g.n)
+        plain = _core_py.contains_subgraph(g.n, g.adj, f.n, f.adj)
+        at = _core_py.contains_subgraph_anchored(g.n, g.adj, f.n, f.adj, anchor)
+        for twin in (_core_py, core):
+            assert twin.contains_subgraph(g.n, list(g.adj), f.n, list(f.adj)) == plain
+            assert twin.contains_subgraph_anchored(
+                g.n, list(g.adj), f.n, list(f.adj), anchor) == at
 
 
 def test_augment_parity(core):
@@ -209,3 +226,51 @@ def test_class_is_emitted_as_its_first_candidate(backend, parent, kept, naive):
     children = {to_graph6(Graph.from_adj(adj)) for adj, _ in children}
     assert kept <= children
     assert not naive & children
+
+
+def _augment_every_subset(twin, n, adj, fn, fadj):
+    """augment_children without the max-degree prefilter: every subset
+    gets the containment test, then the orbit rule and the per-parent
+    first-candidate dict."""
+    first, accepted = {}, set()
+    for mask in range(1 << n):
+        child = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(adj))
+        child += (mask,)
+        if fn and twin.contains_subgraph_anchored(n + 1, child, fn, fadj, n):
+            continue
+        form, order, orbits = twin.canonical_labeling(n + 1, child)
+        first.setdefault(form, child)
+        if orbits[n] == orbits[order[n]]:
+            accepted.add(form)
+    return [(child, form) for form, child in first.items() if form in accepted]
+
+
+@pytest.mark.parametrize("forbid", [None, "F2", "K3"])
+def test_augment_matches_every_subset_loop(backend, forbid):
+    spec = parse_forbidden(forbid) if forbid else None
+    fn, fadj = (spec.graph.n, spec.graph.adj) if spec else (0, ())
+    for n in range(1, 7):
+        for g in generate(n, spec):
+            expected = _augment_every_subset(backend, n, g.adj, fn, fadj)
+            assert backend.augment_children(n, g.adj, fn, fadj) == expected, g
+
+
+def test_augment_labels_only_top_degree_children(monkeypatch):
+    # a child passes only if its new vertex has the maximum degree, so
+    # the prefilter leaves no other child to label
+    parents = [g for n in range(1, 7) for g in generate(n)]
+    k3 = complete_graph(3)
+    labeled = []
+    label = _core_py.canonical_labeling
+
+    def spy(n, adj):
+        labeled.append(adj)
+        return label(n, adj)
+
+    monkeypatch.setattr(_core_py, "canonical_labeling", spy)
+    for g in parents:
+        _core_py.augment_children(g.n, g.adj, 0, ())
+        _core_py.augment_children(g.n, g.adj, k3.n, k3.adj)
+    assert labeled
+    for adj in labeled:
+        assert adj[-1].bit_count() == max(row.bit_count() for row in adj), adj
