@@ -575,7 +575,10 @@ static PyObject *py_contains_subgraph(PyObject *self, PyObject *args)
 
 PyDoc_STRVAR(contains_subgraph_anchored_doc,
 "contains_subgraph_anchored(gn, gadj, fn, fadj, anchor)\n--\n\n"
-"Like contains_subgraph but the image must include ``anchor``.");
+"Like contains_subgraph but the image must include ``anchor``.\n\n"
+"Sound only for that restriction; used by the enumerator, where the\n"
+"parent is already pattern-free so any new copy must use the newly\n"
+"added vertex.");
 
 static PyObject *py_contains_subgraph_anchored(PyObject *self, PyObject *args)
 {
@@ -617,13 +620,15 @@ PyDoc_STRVAR(augment_children_doc,
 "orbit test fails on every other child, and every candidate of a\n"
 "kept class shares its new vertex's degree e(child) - e(parent), so\n"
 "skipping the others never changes which candidate a class is\n"
-"emitted as.\n\n"
+"emitted as.  So a k-subset is skipped iff k < D, the parent's\n"
+"maximum degree, or k = D and it holds a vertex of degree D, which\n"
+"its new edge lifts to D + 1 > k.\n\n"
 "Returns ``[(child_adj, child_canon), ...]`` in subset order.");
 
 static PyObject *py_augment_children(PyObject *self, PyObject *args)
 {
     int n, fn, top = 0, order[MAXN], orbits[MAXN];
-    u64 parent[MAXN], child[MAXN], fadj[MAXN], atleast[MAXN + 1];
+    u64 parent[MAXN], child[MAXN], fadj[MAXN], tops = 0;
     unsigned char form[MAXBYTES];
     AnchoredPlan plan;
     Py_ssize_t pos = 0;
@@ -640,14 +645,14 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
     if (load_adj(adj_obj, parent, n) < 0 || load_adj(fadj_obj, fadj, fn) < 0)
         return NULL;
     plan_anchored(fn, fadj, &plan);
-    /* atleast[k]: the old vertices of degree >= k, which a k-subset must avoid */
-    memset(atleast, 0, sizeof atleast);
     for (int v = 0; v < n; v++) {
         int d = popcount(parent[v]);
-        if (d > top)
+        if (d > top) {
             top = d;
-        for (int k = 0; k <= d && k <= n; k++)
-            atleast[k] |= bit(v);
+            tops = 0;
+        }
+        if (d == top)
+            tops |= bit(v);
     }
     first = PyDict_New(); /* form -> (child_adj, form) of its first candidate */
     accepted = PySet_New(NULL);
@@ -656,7 +661,7 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         goto error;
     for (u64 mask = 0; mask < bit(n); mask++) {
         int nbytes, rc, k = popcount(mask);
-        if (k < top || (mask & atleast[k]))
+        if (k < top || (k == top && (mask & tops)))
             continue;
         memcpy(child, parent, (size_t)n * sizeof(u64));
         child[n] = mask;

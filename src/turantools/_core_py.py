@@ -207,6 +207,7 @@ def canonical_labeling(n, adj):
 
 
 def canonical_bytes(n, adj):
+    """The form half of ``canonical_labeling(n, adj)``."""
     return canonical_labeling(n, adj)[0]
 
 
@@ -319,7 +320,9 @@ def augment_children(n, adj, fn, fadj):
     orbit test fails on every other child, and every candidate of a
     kept class shares its new vertex's degree e(child) - e(parent), so
     skipping the others never changes which candidate a class is
-    emitted as.
+    emitted as.  So a k-subset is skipped iff k < D, the parent's
+    maximum degree, or k = D and it holds a vertex of degree D, which
+    its new edge lifts to D + 1 > k.
 
     Returns ``[(child_adj, child_canon), ...]`` in subset order.
     """
@@ -331,11 +334,10 @@ def augment_children(n, adj, fn, fadj):
     base = list(adj) + [0]
     degs = [adj[v].bit_count() for v in range(n)]
     top = max(degs, default=0)
-    # atleast[k]: the old vertices of degree >= k, which a k-subset must avoid
-    atleast = [sum(1 << v for v in range(n) if degs[v] >= k) for k in range(n + 1)]
+    tops = sum(1 << v for v in range(n) if degs[v] == top)
     for mask in range(1 << n):
         k = mask.bit_count()
-        if k < top or mask & atleast[k]:
+        if k < top or (k == top and mask & tops):
             continue
         child = base.copy()
         child[n] = mask

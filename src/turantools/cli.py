@@ -5,9 +5,9 @@ Data goes to stdout (graph6 lines, tables, or JSON with --json);
 diagnostics and counts go to stderr.  Exit codes: 0 ok, 2 usage,
 3 parse error, 4 size cap, 1 internal failure.
 
-Environment overrides: JOBS (default worker count) and TOL (default
-tolerance of ``spectral``).  A bad value, from the environment or the
-command line, is a usage error (exit 2).
+Environment override: JOBS (default worker count).  A bad value, from
+the environment or the command line, is a usage error (exit 2), and so
+is a ``gen --out`` target that cannot be written.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _jobs(text: str) -> int:
 
 
 def _tol(text: str) -> float:
-    """--tol / TOL: a finite tolerance.  A NaN tolerance never passes the
+    """--tol: a finite tolerance.  A NaN tolerance never passes the
     convergence test, so every graph would run the full sweep cap."""
     try:
         tol = float(text)
@@ -73,7 +73,6 @@ def _fmt(x: float) -> str:
 def build_parser() -> argparse.ArgumentParser:
     # string defaults go through type=, so bad env values exit 2 as well
     jobs = os.environ.get("JOBS") or "1"
-    tol = os.environ.get("TOL") or repr(DEFAULT_TOL)
     parser = argparse.ArgumentParser(
         prog="turantools",
         description="Edge-extremal and spectral-extremal forbidden-subgraph toolkit",
@@ -102,13 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="spectral radius and Perron vector of one graph")
     p.add_argument("--g6", required=True)
-    p.add_argument("--tol", type=_tol, default=tol)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--exact", action="store_true", help="certify via exact polynomial bisection")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("secular", help="largest secular-equation root for part sizes")
     p.add_argument("--parts", required=True, help="comma-separated part sizes, e.g. 2,2,1")
-    p.add_argument("--tol", type=_tol, default=1e-12)
 
     p = sub.add_parser("turan", help="Turan graph facts: edges, radius, closed-form vector")
     p.add_argument("--n", type=int, required=True)
@@ -135,9 +133,15 @@ def _write_graph6(sink, graphs) -> int:
 
 def _write_graph6_file(path, graphs) -> int:
     """Write to a temp file beside ``path``, then rename it over ``path``:
-    a walk that fails midway leaves an existing file as it was."""
+    a walk that fails midway leaves an existing file as it was.  A
+    target that cannot be written is a usage error before the walk."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write --out {path}: is a directory")
     tmp = f"{path}.{os.getpid()}.tmp"
-    sink = open(tmp, "x", encoding="ascii")  # same mode as open(path, "w")
+    try:
+        sink = open(tmp, "x", encoding="ascii")  # same mode as open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
     try:
         with sink:
             count = _write_graph6(sink, graphs)
@@ -242,7 +246,7 @@ def _parse_parts(text: str) -> list[int]:
 
 def _cmd_secular(args) -> int:
     parts = _parse_parts(args.parts)
-    lam = secular_lambda(parts, tol=args.tol)
+    lam = secular_lambda(parts)
     poly = multipartite_char_poly(parts)
     print(f"lambda {_fmt(lam)}")
     print("charpoly " + " ".join(str(c) for c in poly.coeffs))

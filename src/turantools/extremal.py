@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .enumeration import generate
 from .errors import NonConvergenceError
-from .graphs import Graph, canonical_form, canonical_graph, to_graph6, turan_parts
+from .graphs import Graph, canonical_graph, to_graph6, turan_parts
 from .patterns import ForbiddenSpec, is_free
 from .spectral import DEFAULT_TOL, GREATER, LESS, compare_exact, spectral_radius
 
@@ -98,9 +98,13 @@ def _scan(graphs: Iterable[Graph]) -> tuple:
     return ex, edge_best, lam, [w[1] for w in winners], len(finalists) > 1
 
 
-def _canonical_sorted(graphs: list[Graph]) -> list[Graph]:
-    keyed = sorted((canonical_form(g).bytes, g) for g in graphs)
-    return [canonical_graph(g) for _, g in keyed]
+def _canonical_sorted(graphs: list[Graph]) -> list[str]:
+    """Sorted canonical graph6 strings, one labeling per member.
+
+    Equal strings mean isomorphic graphs.  For one n they sort as the
+    packed canonical forms do: both hold the same bit string.
+    """
+    return sorted(to_graph6(canonical_graph(g)) for g in graphs)
 
 
 def _reference_note(spec: ForbiddenSpec) -> str | None:
@@ -113,16 +117,13 @@ def _report(n: int, spec: ForbiddenSpec, graphs: Iterable[Graph]) -> ExtremalRep
     """Scan the n-vertex F-free classes once and assemble the full report."""
     ex, edge_best, lam, winners, exact = _scan(graphs)
     turan = turan_edges(n, min(n, spec.r))
-    edge_members = _canonical_sorted(edge_best)
-    sp_members = _canonical_sorted(winners)
-    for g in edge_members + sp_members:
+    for g in edge_best + winners:
         if not is_free(g, spec):
             raise RuntimeError(
                 f"extremal member {to_graph6(g)} failed the F-freeness re-check"
             )
-    # canonical labels: equal graph6 strings iff isomorphic
-    edge_g6 = tuple(to_graph6(g) for g in edge_members)
-    sp_g6 = tuple(to_graph6(g) for g in sp_members)
+    edge_g6 = tuple(_canonical_sorted(edge_best))
+    sp_g6 = tuple(_canonical_sorted(winners))
     return ExtremalReport(
         n=n,
         spec=spec.source,

@@ -303,15 +303,6 @@ def from_graph6(s: str) -> Graph:
     return Graph.from_adj(tuple(rows))
 
 
-def write_graph6_file(path, graphs: Iterable[Graph]) -> int:
-    count = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for g in graphs:
-            fh.write(to_graph6(g) + "\n")
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # canonical forms
 # ---------------------------------------------------------------------------

@@ -63,6 +63,24 @@ class TestGen:
         assert path.read_bytes() == b"C~\n"
         assert [p.name for p in tmp_path.iterdir()] == ["c.g6"]
 
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "c.g6"
+        code, out, err = run_cli(["gen", "--n", "4", "--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "cannot write --out" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_is_a_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "c.g6"
+        target.mkdir()
+        (target / "kept").write_bytes(b"C~\n")
+        code, out, err = run_cli(["gen", "--n", "4", "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert "cannot write --out" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.g6"]
+        assert [p.name for p in target.iterdir()] == ["kept"]
+        assert (target / "kept").read_bytes() == b"C~\n"
+
     def test_jobs_byte_identical(self, capsys):
         _, out1, _ = run_cli(["gen", "--n", "6", "--forbid", "K3", "--jobs", "1"], capsys)
         _, out2, _ = run_cli(["gen", "--n", "6", "--forbid", "K3", "--jobs", "2"], capsys)
@@ -172,12 +190,12 @@ class TestDiagnose:
 
 
 class TestEnvOverrides:
-    def test_tol_env_sets_default(self, monkeypatch):
-        from turantools.cli import build_parser
-
-        monkeypatch.setenv("TOL", "1e-8")
-        args = build_parser().parse_args(["spectral", "--g6", "D~{"])
-        assert args.tol == 1e-8
+    def test_tol_env_is_ignored(self, monkeypatch, capsys):
+        monkeypatch.delenv("TOL", raising=False)
+        plain = run_cli(["spectral", "--g6", "D~{"], capsys)
+        monkeypatch.setenv("TOL", "nan")
+        assert run_cli(["spectral", "--g6", "D~{"], capsys) == plain
+        assert plain[0] == 0
 
     def test_jobs_env_sets_default(self, monkeypatch):
         from turantools.cli import build_parser
@@ -191,8 +209,6 @@ class TestEnvOverrides:
         [
             ("JOBS", "abc", ["gen", "--n", "4"]),
             ("JOBS", "0", ["extremal", "--n", "4", "--forbid", "K3"]),
-            ("TOL", "nan", ["spectral", "--g6", "D~{"]),
-            ("TOL", "oops", ["spectral", "--g6", "C~", "--exact"]),
         ],
     )
     def test_bad_env_value_exits_2(self, monkeypatch, capsys, name, value, argv):
@@ -211,7 +227,7 @@ class TestOptionInventory:
         "extremal": {"--n", "--forbid", "--json", "--jobs"},
         "verify": {"--forbid", "--n-min", "--n-max", "--json", "--jobs"},
         "spectral": {"--g6", "--tol", "--exact", "--json"},
-        "secular": {"--parts", "--tol"},
+        "secular": {"--parts"},
         "turan": {"--n", "--r"},
         "diagnose": {"--g6", "--forbid", "--a", "--theta", "--epsilon", "--json"},
     }
@@ -229,8 +245,9 @@ class TestOptionInventory:
         [
             ["verify", "--forbid", "K3", "--n-min", "3", "--n-max", "4", "--tol", "1e-4"],
             ["extremal", "--n", "4", "--forbid", "K3", "--tol", "1e-4"],
+            ["secular", "--parts", "2,2", "--tol", "1e-4"],
         ],
-        ids=["verify", "extremal"],
+        ids=["verify", "extremal", "secular"],
     )
     def test_scan_tolerance_is_not_an_option(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -256,7 +273,7 @@ class TestExitCodes:
             ["gen", "--n", "4", "--jobs", "-2"],
             ["spectral", "--g6", "C~", "--tol", "nan"],
             ["spectral", "--g6", "C~", "--tol", "inf"],
-            ["secular", "--parts", "2,2", "--tol", "nan"],
+            ["spectral", "--g6", "C~", "--exact", "--tol", "oops"],
         ],
     )
     def test_bad_jobs_or_tol_exits_2(self, argv):

@@ -1,10 +1,12 @@
 import math
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
-from turantools import _kernels
+from turantools import _kernels, extremal
+from turantools.enumeration import GENERATION_CAP, generate
 from turantools.errors import SizeCapError
-from turantools.enumeration import GENERATION_CAP
 from turantools.extremal import (
     TIE_WINDOW,
     build_report,
@@ -14,10 +16,12 @@ from turantools.extremal import (
 )
 from turantools.graphs import (
     canonical_form,
+    canonical_graph,
     complete_multipartite,
     cycle_graph,
     from_graph6,
     path_graph,
+    to_graph6,
     turan_graph,
     turan_parts,
 )
@@ -144,11 +148,21 @@ class TestSpectralEx:
 
     def test_tie_window_covers_the_scan_tolerance(self):
         # a radius stopped at DEFAULT_TOL is within sqrt(n) * DEFAULT_TOL
-        # of the true one, for every n generation allows
+        # of an eigenvalue of A, for every n generation allows
         assert 2 * math.sqrt(GENERATION_CAP) * DEFAULT_TOL <= TIE_WINDOW
 
 
 class TestReports:
+    def test_canonical_graph6_sorts_as_canonical_forms(self):
+        # one labeling per member: sorting the canonical graph6 strings
+        # must give the order of the packed forms
+        for n, level in groupby(generate(7, n_min=1), key=attrgetter("n")):
+            level = list(level)
+            by_form = sorted(level, key=lambda g: canonical_form(g).bytes)
+            assert extremal._canonical_sorted(level) == [
+                to_graph6(canonical_graph(g)) for g in by_form
+            ], n
+
     def test_report_fields(self):
         rep = build_report(6, K3)
         assert rep.n == 6 and rep.spec == "K3"

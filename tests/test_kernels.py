@@ -8,6 +8,7 @@ C compiler exists, whether or not the installed package carries the
 extension.
 """
 
+import inspect
 import random
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from itertools import permutations
 
 import pytest
 
-from turantools import _core_py
+from turantools import _core_py, _kernels
 from turantools.enumeration import generate
 from turantools.graphs import (
     Graph,
@@ -54,6 +55,16 @@ def test_backend_names(core):
     assert _core_py.BACKEND == "python"
     assert core.BACKEND == "c"
     assert sys.modules.get("turantools._core") is not core
+
+
+def test_docstring_parity(core):
+    # every function _kernels re-exports documents the same contract twice
+    names = [k for k, v in vars(_kernels).items() if callable(v) and not k.startswith("_")]
+    assert len(names) == 5
+    for name in names:
+        pure = getattr(_core_py, name).__doc__
+        assert pure, name
+        assert inspect.cleandoc(getattr(core, name).__doc__) == inspect.cleandoc(pure), name
 
 
 def test_canonical_parity_random(core):

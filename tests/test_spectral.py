@@ -196,9 +196,12 @@ class TestSecular:
                     spectral_radius(turan_graph(n, r)).lam, abs=1e-9
                 )
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            secular_lambda([2, 3], tol=1e-15)
+    def test_bisection_reaches_double_precision(self):
+        # K_{a,b} has radius sqrt(ab); bisection runs to adjacent doubles
+        for a in range(1, 13):
+            for b in range(1, 13):
+                exact = math.sqrt(a * b)
+                assert abs(secular_lambda([a, b]) - exact) <= 8 * math.ulp(exact)
 
 
 class TestCompareExact:
