@@ -314,20 +314,15 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
  * subgraph containment (subgraph, not induced)
  * ---------------------------------------------------------------------- */
 
-/* Order pattern vertices so each has many already-placed neighbors.
- * backmask[i] holds the positions (not vertex ids) of earlier neighbors
- * of order[i]. */
-static void pattern_order(int fn, const u64 *fadj, int start, int *order,
-                          u64 *backmask, int *fdegs)
+/* Order pattern vertices from start so each has many already-placed
+ * neighbors.  backmask[i] holds the positions (not vertex ids) of earlier
+ * neighbors of order[i]. */
+static void pattern_order(int fn, const u64 *fadj, const int *fdegs, int start,
+                          int *order, u64 *backmask)
 {
-    u64 placed = 0;
-    int filled = 0;
-    for (int v = 0; v < fn; v++)
-        fdegs[v] = popcount(fadj[v]);
-    if (start >= 0) {
-        order[filled++] = start;
-        placed = bit(start);
-    }
+    u64 placed = bit(start);
+    int filled = 1;
+    order[0] = start;
     while (filled < fn) {
         int best = -1, bc = -1, bd = -1;
         for (int v = 0; v < fn; v++) {
@@ -352,15 +347,13 @@ static void pattern_order(int fn, const u64 *fadj, int start, int *order,
 }
 
 /* Depth-first search for an injection of the ordered pattern into the
- * host whose first vertex is drawn from first_candidates. */
-static int embed(int gn, const u64 *gadj, int fn, const int *order,
-                 const u64 *backmask, const int *fdegs, u64 first_candidates)
+ * host whose first vertex is anchor. */
+static int embed(int gn, const u64 *gadj, const int *gdegs, int fn, const int *order,
+                 const u64 *backmask, const int *fdegs, int anchor)
 {
-    int gdegs[MAXN], assigned[MAXN], top = 0;
+    int assigned[MAXN], top = 0;
     u64 cand_stack[MAXN + 1], full = full_mask(gn);
-    for (int v = 0; v < gn; v++)
-        gdegs[v] = popcount(gadj[v]);
-    cand_stack[0] = first_candidates;
+    cand_stack[0] = bit(anchor);
     while (top >= 0) {
         u64 cand = cand_stack[top], nxt = full, bm;
         int v;
@@ -396,18 +389,23 @@ typedef struct {
 static void plan_anchored(int fn, const u64 *fadj, AnchoredPlan *plan)
 {
     plan->fn = fn;
+    for (int v = 0; v < fn; v++)
+        plan->fdegs[v] = popcount(fadj[v]);
     for (int f = 0; f < fn; f++)
-        pattern_order(fn, fadj, f, plan->order[f], plan->backmask[f], plan->fdegs);
+        pattern_order(fn, fadj, plan->fdegs, f, plan->order[f], plan->backmask[f]);
 }
 
 /* Some copy of the pattern in the host uses vertex anchor. */
 static int anchored(int gn, const u64 *gadj, const AnchoredPlan *plan, int anchor)
 {
+    int gdegs[MAXN];
     if (plan->fn == 0 || plan->fn > gn)
         return 0;
+    for (int v = 0; v < gn; v++)
+        gdegs[v] = popcount(gadj[v]);
     for (int f = 0; f < plan->fn; f++)
-        if (embed(gn, gadj, plan->fn, plan->order[f], plan->backmask[f], plan->fdegs,
-                  bit(anchor)))
+        if (embed(gn, gadj, gdegs, plan->fn, plan->order[f], plan->backmask[f], plan->fdegs,
+                  anchor))
             return 1;
     return 0;
 }
@@ -550,35 +548,17 @@ static PyObject *py_canonical_bytes(PyObject *self, PyObject *args)
     return PyBytes_FromStringAndSize((const char *)form, nbytes);
 }
 
-PyDoc_STRVAR(contains_subgraph_doc,
-"contains_subgraph(gn, gadj, fn, fadj)\n--\n\n"
-"True iff some injection maps every pattern edge onto a host edge.");
-
-static PyObject *py_contains_subgraph(PyObject *self, PyObject *args)
-{
-    int gn, fn, order[MAXN], fdegs[MAXN];
-    u64 gadj[MAXN], fadj[MAXN], backmask[MAXN];
-    PyObject *gadj_obj, *fadj_obj;
-    if (!PyArg_ParseTuple(args, "iOiO:contains_subgraph", &gn, &gadj_obj, &fn, &fadj_obj))
-        return NULL;
-    if (check_count(gn, "gn") < 0 || check_count(fn, "fn") < 0)
-        return NULL;
-    if (fn > gn)
-        Py_RETURN_FALSE;
-    if (fn == 0)
-        Py_RETURN_TRUE;
-    if (load_adj(gadj_obj, gadj, gn) < 0 || load_adj(fadj_obj, fadj, fn) < 0)
-        return NULL;
-    pattern_order(fn, fadj, -1, order, backmask, fdegs);
-    return PyBool_FromLong(embed(gn, gadj, fn, order, backmask, fdegs, full_mask(gn)));
-}
-
 PyDoc_STRVAR(contains_subgraph_anchored_doc,
 "contains_subgraph_anchored(gn, gadj, fn, fadj, anchor)\n--\n\n"
-"Like contains_subgraph but the image must include ``anchor``.\n\n"
-"Sound only for that restriction; used by the enumerator, where the\n"
-"parent is already pattern-free so any new copy must use the newly\n"
-"added vertex.");
+"True iff some copy of the pattern in the host uses ``anchor``.\n\n"
+"A copy is an injection of the ``fn`` pattern vertices into the first\n"
+"``gn`` host vertices that maps every pattern edge onto a host edge.\n"
+"Only the first ``gn`` rows of ``gadj`` are read, and row bits at or\n"
+"above ``gn`` never change the answer, so a caller may pass the rows\n"
+"of a larger graph.  Two callers: ``augment_children``, whose parent\n"
+"is already pattern-free, so any new copy uses the new vertex, and\n"
+"``patterns.contains_subgraph``, which asks for each host vertex v\n"
+"with ``gn = v + 1`` and ``anchor = v``.");
 
 static PyObject *py_contains_subgraph_anchored(PyObject *self, PyObject *args)
 {
@@ -707,7 +687,6 @@ error:
 static PyMethodDef core_methods[] = {
     {"canonical_labeling", py_canonical_labeling, METH_VARARGS, canonical_labeling_doc},
     {"canonical_bytes", py_canonical_bytes, METH_VARARGS, canonical_bytes_doc},
-    {"contains_subgraph", py_contains_subgraph, METH_VARARGS, contains_subgraph_doc},
     {"contains_subgraph_anchored", py_contains_subgraph_anchored, METH_VARARGS,
      contains_subgraph_anchored_doc},
     {"augment_children", py_augment_children, METH_VARARGS, augment_children_doc},

@@ -17,8 +17,6 @@ from functools import lru_cache
 
 BACKEND = "python"
 
-_FULL = (1 << 64) - 1
-
 
 # ---------------------------------------------------------------------------
 # canonical labeling: individualization/refinement with automorphism pruning
@@ -217,18 +215,22 @@ def canonical_bytes(n, adj):
 
 
 @lru_cache(maxsize=64)
-def _pattern_order(fn, fadj, start=None):
-    """Order pattern vertices so each has many already-placed neighbors.
+def _anchored_plan(fn, fadj):
+    """The pattern's degrees and its search order from every start vertex.
 
     Memoized: callers pass ``fadj`` as a tuple, and a walk asks for the
     same few patterns at every candidate.
     """
-    degs = [fadj[v].bit_count() for v in range(fn)]
-    order = []
-    placed = 0
-    if start is not None:
-        order.append(start)
-        placed = 1 << start
+    degs = tuple(fadj[v].bit_count() for v in range(fn))
+    return degs, tuple(_pattern_order(fn, fadj, degs, f) for f in range(fn))
+
+
+def _pattern_order(fn, fadj, degs, start):
+    """Order pattern vertices from ``start`` so each has many
+    already-placed neighbors; ``back[i]`` lists the positions of the
+    earlier neighbors of ``order[i]``."""
+    order = [start]
+    placed = 1 << start
     while len(order) < fn:
         best, best_key = -1, None
         for v in range(fn):
@@ -241,14 +243,15 @@ def _pattern_order(fn, fadj, start=None):
         placed |= 1 << best
     back = tuple(tuple(j for j in range(i) if (fadj[v] >> order[j]) & 1)
                  for i, v in enumerate(order))
-    return tuple(order), back, tuple(degs)
+    return tuple(order), back
 
 
-def _embed(gn, gadj, fn, order, back, fdegs, first_candidates):
-    gdegs = [gadj[v].bit_count() for v in range(gn)]
+def _embed(gn, gadj, gdegs, fn, order, back, fdegs, anchor):
+    """Depth-first search for an injection of the ordered pattern into
+    the host whose first vertex is ``anchor``."""
     full = (1 << gn) - 1
     assigned = [0] * fn
-    stack = [(0, first_candidates)]
+    stack = [(0, 1 << anchor)]
     while stack:
         pos, cand = stack[-1]
         if cand == 0:
@@ -266,33 +269,28 @@ def _embed(gn, gadj, fn, order, back, fdegs, first_candidates):
             nxt &= gadj[assigned[j]]
         for j in range(pos + 1):
             nxt &= ~(1 << assigned[j])
-        stack.append((pos + 1, nxt & full))
+        stack.append((pos + 1, nxt))
     return False
 
 
-def contains_subgraph(gn, gadj, fn, fadj):
-    """True iff some injection maps every pattern edge onto a host edge."""
-    if fn > gn:
-        return False
-    if fn == 0:
-        return True
-    order, back, fdegs = _pattern_order(fn, tuple(fadj))
-    return _embed(gn, gadj, fn, order, back, fdegs, (1 << gn) - 1)
-
-
 def contains_subgraph_anchored(gn, gadj, fn, fadj, anchor):
-    """Like contains_subgraph but the image must include ``anchor``.
+    """True iff some copy of the pattern in the host uses ``anchor``.
 
-    Sound only for that restriction; used by the enumerator, where the
-    parent is already pattern-free so any new copy must use the newly
-    added vertex.
+    A copy is an injection of the ``fn`` pattern vertices into the first
+    ``gn`` host vertices that maps every pattern edge onto a host edge.
+    Only the first ``gn`` rows of ``gadj`` are read, and row bits at or
+    above ``gn`` never change the answer, so a caller may pass the rows
+    of a larger graph.  Two callers: ``augment_children``, whose parent
+    is already pattern-free, so any new copy uses the new vertex, and
+    ``patterns.contains_subgraph``, which asks for each host vertex v
+    with ``gn = v + 1`` and ``anchor = v``.
     """
     if fn == 0 or fn > gn:
         return False
-    fadj = tuple(fadj)
-    for f in range(fn):
-        order, back, fdegs = _pattern_order(fn, fadj, f)
-        if _embed(gn, gadj, fn, order, back, fdegs, 1 << anchor):
+    fdegs, orders = _anchored_plan(fn, tuple(fadj))
+    gdegs = [gadj[v].bit_count() for v in range(gn)]
+    for order, back in orders:
+        if _embed(gn, gadj, gdegs, fn, order, back, fdegs, anchor):
             return True
     return False
 

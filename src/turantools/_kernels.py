@@ -16,6 +16,5 @@ BACKEND: str = _impl.BACKEND
 
 canonical_labeling = _impl.canonical_labeling
 canonical_bytes = _impl.canonical_bytes
-contains_subgraph = _impl.contains_subgraph
 contains_subgraph_anchored = _impl.contains_subgraph_anchored
 augment_children = _impl.augment_children

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import ParseError, SizeCapError
-from .graphs import Graph, complete_graph, from_graph6
+from .graphs import Graph, _check_bitset_cap, complete_graph, from_graph6
 
 CHROMATIC_CAP = 12
 
@@ -98,12 +98,21 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
 
 
 def contains_subgraph(g: Graph, pattern: Graph) -> bool:
-    """True iff g has a (not necessarily induced) subgraph copy of pattern."""
-    if g.n > 64:
-        raise SizeCapError(f"containment caps the host at 64 vertices, got {g.n}")
+    """True iff g has a (not necessarily induced) subgraph copy of pattern.
+
+    A copy whose largest host vertex is v lies in g[0..v] and uses v, so
+    g contains the pattern iff the anchored kernel finds a copy through v
+    in the first v + 1 vertices for some v >= pattern.n - 1.
+    """
+    _check_bitset_cap(g.n)
+    if pattern.n == 0:
+        return True
     if pattern.n > g.n or pattern.m > g.m:
         return False
-    return _kernels.contains_subgraph(g.n, g.adj, pattern.n, pattern.adj)
+    return any(
+        _kernels.contains_subgraph_anchored(v + 1, g.adj, pattern.n, pattern.adj, v)
+        for v in range(pattern.n - 1, g.n)
+    )
 
 
 def is_free(g: Graph, spec: ForbiddenSpec) -> bool:

@@ -75,8 +75,8 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     per-component maximum and embeds the winning component's vector
     padded with zeros.
     """
-    if tol < MIN_TOL:
-        raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
+    if not MIN_TOL <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= {MIN_TOL}, got {tol}")
     if g.n == 0:
         raise ValueError("spectral radius of the empty graph is undefined")
     best = None  # (lam, comp, x, residual)

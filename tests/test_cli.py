@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from turantools import cli
+from turantools import cli, spectral
 from turantools.cli import build_parser, main
 from turantools.graphs import to_graph6
 
@@ -280,6 +280,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_stalled_power_iteration_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "ITERATION_CAP", 1)
+        code, _, err = run_cli(["extremal", "--n", "5", "--forbid", "K3"], capsys)
+        assert code == 1
+        assert err.startswith("error: power iteration stalled on")
 
     def test_extremal_command(self, capsys):
         code, out, _ = run_cli(["extremal", "--n", "5", "--forbid", "K3", "--json"], capsys)

@@ -4,9 +4,9 @@ from operator import attrgetter
 
 import pytest
 
-from turantools import _kernels, extremal
+from turantools import _kernels, extremal, spectral
 from turantools.enumeration import GENERATION_CAP, generate
-from turantools.errors import SizeCapError
+from turantools.errors import NonConvergenceError, SizeCapError
 from turantools.extremal import (
     TIE_WINDOW,
     build_report,
@@ -188,6 +188,14 @@ class TestReports:
             sp = set(rep.spectral_extremal)
             edge = set(rep.edge_extremal)
             assert rep.contained == (sp <= edge)
+
+    def test_stalled_power_iteration_names_the_class(self, monkeypatch):
+        monkeypatch.setattr(spectral, "ITERATION_CAP", 1)
+        with pytest.raises(NonConvergenceError) as err:
+            build_report(5, K3)
+        assert "power iteration stalled on D?o" in str(err.value)
+        assert err.value.iterations == 1
+        assert err.value.best == pytest.approx(4 / 3)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):

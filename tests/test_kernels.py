@@ -16,7 +16,7 @@ from itertools import permutations
 
 import pytest
 
-from turantools import _core_py, _kernels
+from turantools import _core_py, _kernels, patterns
 from turantools.enumeration import generate
 from turantools.graphs import (
     Graph,
@@ -24,6 +24,7 @@ from turantools.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     from_graph6,
     to_graph6,
@@ -31,7 +32,7 @@ from turantools.graphs import (
 )
 from turantools.patterns import parse_forbidden
 
-from oracles import random_graph
+from oracles import contains_by_injections, random_graph
 
 # Label K_n with a compiled module loaded from argv[1]; prints the form
 # in hex, then the order.
@@ -58,13 +59,18 @@ def test_backend_names(core):
 
 
 def test_docstring_parity(core):
-    # every function _kernels re-exports documents the same contract twice
-    names = [k for k, v in vars(_kernels).items() if callable(v) and not k.startswith("_")]
-    assert len(names) == 5
+    # the twins define the same kernels, _kernels re-exports each of them,
+    # and each documents the same contract twice
+    pure = {k for k, v in vars(_core_py).items()
+            if inspect.isfunction(v) and v.__module__ == _core_py.__name__
+            and not k.startswith("_")}
+    compiled = {k for k, v in vars(core).items() if inspect.isbuiltin(v)}
+    names = {k for k, v in vars(_kernels).items() if callable(v) and not k.startswith("_")}
+    assert pure == compiled == names
     for name in names:
-        pure = getattr(_core_py, name).__doc__
-        assert pure, name
-        assert inspect.cleandoc(getattr(core, name).__doc__) == inspect.cleandoc(pure), name
+        doc = getattr(_core_py, name).__doc__
+        assert doc, name
+        assert inspect.cleandoc(getattr(core, name).__doc__) == inspect.cleandoc(doc), name
 
 
 def test_canonical_parity_random(core):
@@ -95,13 +101,16 @@ def test_containment_parity(core):
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 9))
         f = random_graph(rng, rng.randint(1, 6))
-        assert core.contains_subgraph(
-            g.n, g.adj, f.n, f.adj
-        ) == _core_py.contains_subgraph(g.n, g.adj, f.n, f.adj)
         anchor = rng.randrange(g.n)
         assert core.contains_subgraph_anchored(
             g.n, g.adj, f.n, f.adj, anchor
         ) == _core_py.contains_subgraph_anchored(g.n, g.adj, f.n, f.adj, anchor)
+        # rows carrying bits at or above gn answer as if masked to gn bits
+        gn = anchor + 1
+        masked = tuple(row & ((1 << gn) - 1) for row in g.adj[:gn])
+        at = _core_py.contains_subgraph_anchored(gn, masked, f.n, f.adj, anchor)
+        for twin in (_core_py, core):
+            assert twin.contains_subgraph_anchored(gn, g.adj, f.n, f.adj, anchor) == at
 
 
 def test_containment_parity_with_list_rows(core):
@@ -111,12 +120,27 @@ def test_containment_parity_with_list_rows(core):
         g = random_graph(rng, rng.randint(1, 8))
         f = random_graph(rng, rng.randint(1, 5))
         anchor = rng.randrange(g.n)
-        plain = _core_py.contains_subgraph(g.n, g.adj, f.n, f.adj)
         at = _core_py.contains_subgraph_anchored(g.n, g.adj, f.n, f.adj, anchor)
         for twin in (_core_py, core):
-            assert twin.contains_subgraph(g.n, list(g.adj), f.n, list(f.adj)) == plain
             assert twin.contains_subgraph_anchored(
                 g.n, list(g.adj), f.n, list(f.adj), anchor) == at
+
+
+def test_public_containment_matches_injections(backend, monkeypatch):
+    # patterns.contains_subgraph asks the anchored kernel once per largest
+    # host vertex; disconnected patterns and isolated pattern vertices
+    # place copies on host vertices no pattern edge touches
+    monkeypatch.setattr(patterns, "_kernels", backend)
+    rng = random.Random(31)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 8), p=rng.choice([0.3, 0.5, 0.8]))
+        f = random_graph(rng, rng.randint(1, 4), p=0.6)
+        shape = rng.randrange(3)
+        if shape == 1:
+            f = disjoint_union(f, random_graph(rng, rng.randint(1, 3), p=0.7))
+        elif shape == 2:
+            f = disjoint_union(f, empty_graph(rng.randint(1, 2)))
+        assert patterns.contains_subgraph(g, f) == contains_by_injections(g, f), (g, f)
 
 
 def test_augment_parity(core):

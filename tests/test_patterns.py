@@ -86,6 +86,17 @@ class TestContainment:
         # P3's two edges share a vertex, so no pair of disjoint edges
         assert not contains_subgraph(path_graph(3), two_edges)
 
+    def test_empty_pattern(self):
+        assert contains_subgraph(Graph(0), Graph(0))
+        assert contains_subgraph(cycle_graph(5), Graph(0))
+
+    def test_host_over_bitset_cap(self):
+        host = empty_graph(65)
+        with pytest.raises(SizeCapError):
+            contains_subgraph(host, complete_graph(3))
+        with pytest.raises(SizeCapError):
+            is_free(host, parse_forbidden("K3"))
+
     def test_versus_injection_oracle(self):
         rng = random.Random(77)
         for _ in range(300):

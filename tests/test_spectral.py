@@ -58,8 +58,11 @@ class TestSpectralRadius:
             spectral_radius(Graph(0))
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            spectral_radius(complete_graph(3), tol=1e-15)
+        # nan passes a bare ``tol < MIN_TOL`` and runs every sweep; inf
+        # stops after one sweep with a wrong radius (P4: 1.5)
+        for tol in (1e-15, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                spectral_radius(complete_graph(3), tol=tol)
 
     def test_versus_dense_eigensolve(self):
         rng = random.Random(101)
