@@ -35,9 +35,6 @@ typedef struct {
     unsigned char best[MAXBYTES];
     int best_order[MAXN];
     int have_best;
-    unsigned char first[MAXBYTES];
-    int first_order[MAXN];
-    int have_first;
     int *gens; /* ngens discovered automorphisms of n ints, vertex -> vertex */
     int ngens, maxgens;
     int nomem; /* growing gens failed: the search unwinds */
@@ -126,16 +123,7 @@ static void refine(const CanonState *st, int *lab, char *ptn)
 /* Equal packed triangles mean order_a[i] -> order_b[i] preserves edges. */
 static void add_gen(CanonState *st, const int *order_a, const int *order_b)
 {
-    int n = st->n, perm[MAXN], i, g;
-    for (i = 0; i < n; i++)
-        perm[order_a[i]] = order_b[i];
-    for (i = 0; i < n && perm[i] == i; i++)
-        ;
-    if (i == n)
-        return;
-    for (g = 0; g < st->ngens; g++)
-        if (memcmp(st->gens + (size_t)g * n, perm, (size_t)n * sizeof(int)) == 0)
-            return;
+    int n = st->n, *perm;
     if (st->ngens == st->maxgens) {
         int grown = st->maxgens ? 2 * st->maxgens : 16;
         int *gens = realloc(st->gens, (size_t)grown * n * sizeof(int));
@@ -146,7 +134,9 @@ static void add_gen(CanonState *st, const int *order_a, const int *order_b)
         st->gens = gens;
         st->maxgens = grown;
     }
-    memcpy(st->gens + (size_t)st->ngens++ * n, perm, (size_t)n * sizeof(int));
+    perm = st->gens + (size_t)st->ngens++ * n;
+    for (int i = 0; i < n; i++)
+        perm[order_a[i]] = order_b[i];
 }
 
 static void record_leaf(CanonState *st, const int *lab)
@@ -154,19 +144,16 @@ static void record_leaf(CanonState *st, const int *lab)
     unsigned char buf[MAXBYTES];
     int n = st->n, nbytes = st->nbytes;
     pack_triangle(n, st->adj, lab, buf, nbytes);
+    /* Comparing with the best leaf alone finds the whole group: every
+     * automorphism maps it to a leaf of equal form, reached later or in
+     * a branch pruned by generators already found.  No generator comes
+     * twice: a stored best -> leaf map would have pruned that leaf. */
     if (!st->have_best || memcmp(buf, st->best, nbytes) < 0) {
         memcpy(st->best, buf, nbytes);
         memcpy(st->best_order, lab, (size_t)n * sizeof(int));
         st->have_best = 1;
     } else if (memcmp(buf, st->best, nbytes) == 0) {
         add_gen(st, st->best_order, lab);
-    }
-    if (!st->have_first) {
-        memcpy(st->first, buf, nbytes);
-        memcpy(st->first_order, lab, (size_t)n * sizeof(int));
-        st->have_first = 1;
-    } else if (memcmp(buf, st->first, nbytes) == 0) {
-        add_gen(st, st->first_order, lab);
     }
 }
 
@@ -231,10 +218,9 @@ static void search(CanonState *st, const int *lab_in, const char *ptn_in)
     }
     for (int i = 0; i < n; i++)
         parent[i] = i;
-    absorb_gens(st, parent, &applied);
     for (int i = 0; i < cell_len && !st->nomem; i++) {
         int v = cell[i], k, pos;
-        /* pick up generators discovered by earlier siblings */
+        /* pick up generators found so far, by earlier siblings too */
         absorb_gens(st, parent, &applied);
         for (k = 0; k < ntried; k++)
             if (uf_find(parent, v) == uf_find(parent, tried[k]))
@@ -276,7 +262,7 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
     st.n = n;
     st.nbytes = (n * (n - 1) / 2 + 7) / 8;
     memcpy(st.adj, adj, (size_t)n * sizeof(u64));
-    st.have_best = st.have_first = 0;
+    st.have_best = 0;
     st.gens = NULL;
     st.ngens = st.maxgens = st.nomem = st.depth = 0;
     for (int i = 0; i < n; i++) {

@@ -18,6 +18,16 @@ from functools import lru_cache
 BACKEND = "python"
 
 
+def _check_args(rows, **counts):
+    """Raise the compiled twin's ValueError: for a negative count first,
+    then for more than 64 ``rows``."""
+    for what, n in counts.items():
+        if n < 0:
+            raise ValueError(f"{what} must be non-negative, got {n}")
+    if rows > 64:
+        raise ValueError("bitset kernels cap graphs at 64 vertices")
+
+
 # ---------------------------------------------------------------------------
 # canonical labeling: individualization/refinement with automorphism pruning
 # ---------------------------------------------------------------------------
@@ -104,8 +114,6 @@ class _CanonSearch:
         self.adj = adj
         self.best = None
         self.best_order = None
-        self.first = None
-        self.first_order = None
         self.gens = []  # discovered automorphisms, vertex -> vertex tuples
 
     def run(self):
@@ -126,25 +134,22 @@ class _CanonSearch:
 
     def _record_leaf(self, order):
         bts = _pack_upper_triangle(self.n, self.adj, order)
+        # Comparing with the best leaf alone finds the whole group: every
+        # automorphism maps it to a leaf of equal form, reached later or in
+        # a branch pruned by generators already found.  No generator comes
+        # twice: a stored best -> leaf map would have pruned that leaf.
         if self.best is None or bts < self.best:
             self.best = bts
             self.best_order = order
-        elif bts == self.best and order != self.best_order:
+        elif bts == self.best:
             self._add_gen(self.best_order, order)
-        if self.first is None:
-            self.first = bts
-            self.first_order = order
-        elif bts == self.first and order != self.first_order:
-            self._add_gen(self.first_order, order)
 
     def _add_gen(self, order_a, order_b):
         # equal packed triangles mean order_a[i] -> order_b[i] preserves edges
         perm = [0] * self.n
         for i in range(self.n):
             perm[order_a[i]] = order_b[i]
-        perm = tuple(perm)
-        if perm not in self.gens:
-            self.gens.append(perm)
+        self.gens.append(tuple(perm))
 
     def _search(self, cells, prefix):
         target = -1
@@ -167,7 +172,6 @@ class _CanonSearch:
                     for v in range(self.n):
                         uf.union(v, g[v])
 
-        absorb_gens()
         tried = []
         cell = sorted(cells[target])
         for v in cell:
@@ -197,6 +201,7 @@ def canonical_labeling(n, adj):
     The search prunes a branch only when a found automorphism maps it
     onto an explored one, so these generate the whole group.
     """
+    _check_args(n, n=n)
     if n == 0:
         return b"", (), ()
     if n == 1:
@@ -285,8 +290,12 @@ def contains_subgraph_anchored(gn, gadj, fn, fadj, anchor):
     ``patterns.contains_subgraph``, which asks for each host vertex v
     with ``gn = v + 1`` and ``anchor = v``.
     """
+    _check_args(0, gn=gn, fn=fn)
     if fn == 0 or fn > gn:
         return False
+    if not 0 <= anchor < gn:
+        raise ValueError(f"anchor {anchor} outside 0..{gn - 1}")
+    _check_args(gn)
     fdegs, orders = _anchored_plan(fn, tuple(fadj))
     gdegs = [gadj[v].bit_count() for v in range(gn)]
     for order, back in orders:
@@ -326,6 +335,7 @@ def augment_children(n, adj, fn, fadj):
     """
     if n >= 64:
         raise ValueError("augmentation kernel caps graphs at 64 vertices")
+    _check_args(fn, n=n, fn=fn)
     first = {}
     accepted = set()
     newbit = 1 << n

@@ -37,7 +37,8 @@ def _expand_parent(args):
 
 def _levels(n: int, prune: ForbiddenSpec | None, jobs: int) -> Iterator[list]:
     """Each level 1..n, sorted by canonical form, from one walk and one pool."""
-    fn, fadj = (prune.graph.n, prune.graph.adj) if prune else (0, ())
+    # a pattern larger than the last level never occurs, so it prunes nothing
+    fn, fadj = (prune.graph.n, prune.graph.adj) if prune and prune.graph.n <= n else (0, ())
     level = [((0,), b"")]  # K1: an empty packed triangle
     if prune is not None and not is_free(Graph.from_adj((0,)), prune):
         return

@@ -49,6 +49,12 @@ def pool_starts(monkeypatch):
     return started
 
 
+@pytest.fixture(params=["python", "c"])
+def backend(request):
+    """Each kernel twin in turn: the pure one, then the compiled ``core``."""
+    return _core_py if request.param == "python" else request.getfixturevalue("core")
+
+
 @pytest.fixture(scope="session")
 def core(tmp_path_factory):
     """turantools._core compiled from source, not entered in sys.modules."""
@@ -58,7 +64,7 @@ def core(tmp_path_factory):
     so = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
     # -Werror: a warning in _core.c fails the parity tests, not just the log
     cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "-fPIC").split(),
-           "-O3", "-Wall", "-Werror",
+           "-O3", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
            "-I", sysconfig.get_paths()["include"], str(CORE_C), "-o", str(so)]
     build = subprocess.run(cmd, capture_output=True, text=True)
     assert build.returncode == 0, build.stderr

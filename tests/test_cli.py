@@ -27,6 +27,11 @@ class TestGen:
         assert len(lines) == 14
         assert "14 classes" in err
 
+    def test_pattern_larger_than_n(self, capsys):
+        code, out, err = run_cli(["gen", "--n", "5", "--forbid", "K65"], capsys)
+        assert code == 0 and len(out.splitlines()) == 34
+        assert "34 classes" in err
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "c.g6"
         path.write_bytes(b"C~\n" * 20)

@@ -86,6 +86,11 @@ class TestGenerate:
         with pytest.raises(SizeCapError):
             list(generate(n))
 
+    def test_pattern_larger_than_n_prunes_nothing(self, backend, monkeypatch):
+        # no twin takes a 65-row pattern, and none is needed: K65 never fits
+        monkeypatch.setattr(enumeration, "_kernels", backend)
+        assert count_classes(5, parse_forbidden("K65")) == 34
+
     def test_range_is_checked_before_iteration(self):
         with pytest.raises(SizeCapError):
             generate(11)

@@ -47,11 +47,6 @@ print(form.hex(), *order)
 """
 
 
-@pytest.fixture(params=["python", "c"])
-def backend(request):
-    return _core_py if request.param == "python" else request.getfixturevalue("core")
-
-
 def test_backend_names(core):
     assert _core_py.BACKEND == "python"
     assert core.BACKEND == "c"
@@ -85,15 +80,38 @@ def test_canonical_parity_random(core):
         assert rc == rp
 
 
+def _relation_graph(n, adjacent):
+    """The graph on 0..n-1 with an edge uv iff ``adjacent(u, v)``."""
+    return Graph.from_adj(tuple(sum(1 << v for v in range(n) if v != u and adjacent(u, v))
+                                for u in range(n)))
+
+
 def test_canonical_parity_symmetric_families(core):
-    for g in [
+    # the search stores generators only from leaves matching the best one;
+    # large groups must still come out whole, with equal triples in both twins
+    squares = {x * x % 37 for x in range(1, 37)}
+    petersen = from_graph6("IheA@GUAo")
+    transitive = [
         complete_graph(9),
         empty_graph(9),
         turan_graph(10, 2),
         turan_graph(10, 5),
         turan_graph(9, 3),
-    ]:
-        assert core.canonical_bytes(g.n, g.adj) == _core_py.canonical_bytes(g.n, g.adj)
+        _relation_graph(64, lambda u, v: (u ^ v).bit_count() == 1),  # Q6
+        _relation_graph(37, lambda u, v: (u - v) % 37 in squares),  # Paley(37)
+        _relation_graph(36, lambda u, v: u // 6 == v // 6 or u % 6 == v % 6),  # rook 6x6
+        disjoint_union(disjoint_union(petersen, petersen), petersen),
+        complete_multipartite([8, 8]),
+        turan_graph(20, 4),
+    ]
+    cycles = empty_graph(0)
+    for k in (5, 5, 6, 6, 6):
+        cycles = disjoint_union(cycles, cycle_graph(k))
+    hosts = [(g, (0,) * g.n) for g in transitive] + [(cycles, (0,) * 10 + (10,) * 18)]
+    for g, orbits in hosts:
+        triple = _core_py.canonical_labeling(g.n, g.adj)
+        assert core.canonical_labeling(g.n, g.adj) == triple
+        assert triple[2] == orbits, g.n
 
 
 def test_containment_parity(core):
@@ -202,6 +220,36 @@ def test_labeling_reconstructs_graph(backend):
 def test_size_guard(backend):
     with pytest.raises(ValueError):
         backend.augment_children(64, tuple([0] * 64), 0, ())
+
+
+CAP = "bitset kernels cap graphs at 64 vertices"
+
+
+@pytest.mark.parametrize("name,args,expected", [
+    ("canonical_labeling", (-1, ()), "n must be non-negative, got -1"),
+    ("canonical_bytes", (-1, ()), "n must be non-negative, got -1"),
+    ("canonical_labeling", (65, (0,) * 65), CAP),
+    ("contains_subgraph_anchored", (-1, (), -1, (), 0), "gn must be non-negative, got -1"),
+    ("contains_subgraph_anchored", (3, (6, 5, 3), -2, (), 0), "fn must be non-negative, got -2"),
+    ("contains_subgraph_anchored", (2, (2, 1), 3, (6, 5, 3), 9), False),
+    ("contains_subgraph_anchored", (3, (6, 5, 3), 0, (), -1), False),
+    ("contains_subgraph_anchored", (3, (6, 5, 3), 2, (2, 1), 3), "anchor 3 outside 0..2"),
+    ("contains_subgraph_anchored", (3, (6, 5, 3), 2, (2, 1), -1), "anchor -1 outside 0..2"),
+    ("contains_subgraph_anchored", (65, (0,) * 65, 2, (2, 1), 65), "anchor 65 outside 0..64"),
+    ("contains_subgraph_anchored", (65, (0,) * 65, 2, (2, 1), 0), CAP),
+    ("augment_children", (-1, (), -1, ()), "n must be non-negative, got -1"),
+    ("augment_children", (2, (2, 1), -1, ()), "fn must be non-negative, got -1"),
+    ("augment_children", (3, (0, 0, 0), 65, (0,) * 65), CAP),
+])
+def test_bad_arguments_match_across_twins(backend, name, args, expected):
+    # counts first, then the pattern-size early return, then the anchor,
+    # then the 64-row cap: the order and messages of the compiled twin
+    if expected is False:
+        assert getattr(backend, name)(*args) is False
+        return
+    with pytest.raises(ValueError) as err:
+        getattr(backend, name)(*args)
+    assert str(err.value) == expected
 
 
 def test_short_adjacency_raises(backend):
