@@ -13,14 +13,12 @@ from .enumeration import generate, ingest
 from .extremal import (
     ExtremalReport,
     build_report,
-    excess_estimate,
     turan_edges,
     verify_containment,
 )
 from .graphs import (
     CanonicalForm,
     Graph,
-    automorphism_count,
     canonical_form,
     canonical_graph,
     complete_graph,
@@ -80,7 +78,6 @@ __all__ = [
     "LESS",
     "PartitionReport",
     "SpectralResult",
-    "automorphism_count",
     "build_report",
     "canonical_form",
     "canonical_graph",
@@ -94,12 +91,11 @@ __all__ = [
     "degree_class_report",
     "disjoint_union",
     "empty_graph",
-    "excess_estimate",
     "friendship_graph",
     "from_graph6",
     "generate",
-    "ingest",
     "inclusion_exclusion_bound",
+    "ingest",
     "intersecting_cliques",
     "is_free",
     "max_cut_partition",

@@ -84,10 +84,6 @@ def generate(
     return (Graph.from_adj(adj) for size, level in levels if size >= n_min for adj, _ in level)
 
 
-def count_classes(n: int, prune: ForbiddenSpec | None = None, jobs: int = 1) -> int:
-    return sum(1 for _ in generate(n, prune, jobs))
-
-
 def ingest(
     path,
     prune: ForbiddenSpec | None = None,
@@ -112,7 +108,7 @@ def ingest(
             try:
                 g = from_graph6(line)
             except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+                raise ParseError(exc.message, offset=exc.offset, line=lineno) from exc
             if prune is not None and not is_free(g, prune):
                 continue
             if seen is not None:

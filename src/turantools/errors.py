@@ -12,9 +12,12 @@ class ParseError(TuranToolsError):
 
     ``offset`` is the byte offset inside the offending token, ``line``
     the 1-based line number when reading a file; either may be None.
+    ``message`` is the text without the position, for a caller that
+    re-raises with more context.
     """
 
     def __init__(self, message: str, *, offset: int | None = None, line: int | None = None):
+        self.message = message
         self.offset = offset
         self.line = line
         where = []

@@ -154,21 +154,3 @@ def verify_containment(
     """
     levels = groupby(generate(n_max, spec, jobs, n_min=n_min), key=attrgetter("n"))
     return [_report(n, spec, graphs) for n, graphs in levels]
-
-
-def excess_estimate(
-    spec: ForbiddenSpec, n_min: int, n_max: int, jobs: int = 1
-) -> tuple[list[tuple[int, int]], str]:
-    """The sequence a_n = ex(n,F) - e(T_{n,r}) plus a stabilization note."""
-    levels = groupby(generate(n_max, spec, jobs, n_min=n_min), key=attrgetter("n"))
-    seq = [(n, max(g.m for g in graphs) - turan_edges(n, min(n, spec.r))) for n, graphs in levels]
-    tail = [a for _, a in seq]
-    k = 1
-    while k < len(tail) and tail[-1 - k] == tail[-1]:
-        k += 1
-    if len(seq) >= 2 and k >= 2:
-        note = f"stable at {tail[-1]} over the last {k} values"
-    else:
-        note = "not stabilized over the sampled range"
-    return seq, note
-

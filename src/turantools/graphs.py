@@ -335,67 +335,3 @@ def canonical_graph(g: Graph) -> Graph:
     for pos, v in enumerate(order):
         perm[v] = pos
     return g.relabel(perm)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    return canonical_form(g) == canonical_form(h)
-
-
-def _extend_automorphism(n, adj, degs, prefix_images) -> bool:
-    """Does some automorphism send vertex t to prefix_images[t] for all t?
-
-    Completes the forced partial map by backtracking, preserving both
-    adjacency and non-adjacency (graph-to-itself isomorphism).  The
-    caller guarantees the forced pairs are consistent among themselves.
-    """
-    full = (1 << n) - 1
-    images = list(prefix_images) + [0] * (n - len(prefix_images))
-    used0 = 0
-    for w in prefix_images:
-        used0 |= 1 << w
-
-    def rec(u, used):
-        if u == n:
-            return True
-        cand = full & ~used
-        au = adj[u]
-        for t in range(u):
-            if (au >> t) & 1:
-                cand &= adj[images[t]]
-            else:
-                cand &= ~adj[images[t]]
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if degs[w] != degs[u]:
-                continue
-            images[u] = w
-            if rec(u + 1, used | (1 << w)):
-                return True
-        return False
-
-    return rec(len(prefix_images), used0)
-
-
-def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group via an orbit-stabilizer chain.
-
-    For each vertex v in order, counts the images w reachable by an
-    automorphism fixing 0..v-1 pointwise; the product over v is |Aut|.
-    """
-    _check_bitset_cap(g.n)
-    n, adj = g.n, g.adj
-    degs = g.degrees()
-    total = 1
-    for v in range(n):
-        low = (1 << v) - 1
-        orbit = 1  # v itself
-        for w in range(v + 1, n):
-            if degs[w] != degs[v] or (adj[v] & low) != (adj[w] & low):
-                continue
-            if _extend_automorphism(n, adj, degs, list(range(v)) + [w]):
-                orbit += 1
-        total *= orbit
-    return total

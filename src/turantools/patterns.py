@@ -86,7 +86,7 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
         try:
             graph = from_graph6(body)
         except ParseError as exc:
-            raise ParseError(f"bad graph6 in {token!r}: {exc}", offset=exc.offset) from exc
+            raise ParseError(f"bad graph6 in {token!r}: {exc.message}", offset=exc.offset) from exc
         if graph.m == 0:
             raise ParseError(f"forbidden graph must have at least one edge: {token!r}")
         chi = chromatic_number(graph)

@@ -266,20 +266,18 @@ def structural_checks(
     g: Graph,
     spec: ForbiddenSpec,
     excess: int,
-    partition: PartitionReport | None = None,
+    partition: PartitionReport,
 ) -> list[CheckResult]:
     """The seven structural facts evaluated on a max-cross partition.
 
     ``excess`` is the caller-supplied number of edges the extremal
-    graphs add on top of the Turan graph (typically from
-    excess_estimate).  Failures are findings: the facts are guaranteed
-    only asymptotically.
+    graphs add on top of the Turan graph (typically a report's
+    ``excess``).  Failures are findings: the facts are guaranteed only
+    asymptotically.
     """
     r = spec.r
     n = g.n
     a = excess
-    if partition is None:
-        partition = max_cut_partition(g, r)
     res = spectral_radius(g)
     checks = []
 

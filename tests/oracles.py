@@ -27,6 +27,42 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return any(g.relabel(p) == h for p in itertools.permutations(range(g.n)))
 
 
+def _extend_automorphism(n, adj, degs, prefix_images) -> bool:
+    """Does some automorphism send vertex t to prefix_images[t] for all t?
+
+    Completes the forced partial map by backtracking, preserving both
+    adjacency and non-adjacency (graph-to-itself isomorphism).  The
+    caller guarantees the forced pairs are consistent among themselves.
+    """
+    full = (1 << n) - 1
+    images = list(prefix_images) + [0] * (n - len(prefix_images))
+    used0 = 0
+    for w in prefix_images:
+        used0 |= 1 << w
+
+    def rec(u, used):
+        if u == n:
+            return True
+        cand = full & ~used
+        au = adj[u]
+        for t in range(u):
+            if (au >> t) & 1:
+                cand &= adj[images[t]]
+            else:
+                cand &= ~adj[images[t]]
+        while cand:
+            w = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if degs[w] != degs[u]:
+                continue
+            images[u] = w
+            if rec(u + 1, used | (1 << w)):
+                return True
+        return False
+
+    return rec(len(prefix_images), used0)
+
+
 def labeled_class_count(n, predicate=None) -> int:
     """Isomorphism classes among all labeled graphs, deduped by
     canonical form.  Independent of the augmentation path under test;

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from turantools import cli, enumeration
-from turantools.enumeration import count_classes, generate, ingest
+from turantools.enumeration import generate, ingest
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import canonical_form, complete_graph, to_graph6
 from turantools.patterns import contains_subgraph, is_free, parse_forbidden
@@ -19,19 +19,19 @@ class TestGenerate:
         "n,expect", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)]
     )
     def test_unpruned_counts(self, n, expect):
-        assert count_classes(n) == expect
+        assert sum(1 for _ in generate(n)) == expect
 
     @pytest.mark.parametrize("n,expect", [(3, 3), (4, 7), (5, 14), (6, 38), (7, 107)])
     def test_triangle_free_counts(self, n, expect):
-        assert count_classes(n, K3) == expect
+        assert sum(1 for _ in generate(n, K3)) == expect
 
     def test_matches_labeled_dedupe_oracle(self):
         for n in range(1, 7):
-            assert count_classes(n) == labeled_class_count(n)
+            assert sum(1 for _ in generate(n)) == labeled_class_count(n)
 
     def test_matches_permutation_bruteforce_oracle(self):
         for n in range(1, 6):
-            assert count_classes(n) == labeled_class_count_bruteforce(n)
+            assert sum(1 for _ in generate(n)) == labeled_class_count_bruteforce(n)
 
     def test_pruned_equals_filtered(self):
         for n in range(1, 7):
@@ -61,7 +61,7 @@ class TestGenerate:
         assert serial == parallel
 
     def test_worker_count_is_capped_at_cpu_count(self, pool_starts):
-        assert count_classes(5, jobs=10**6) == 34
+        assert sum(1 for _ in generate(5, jobs=10**6)) == 34
         assert pool_starts == [3]
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -89,7 +89,7 @@ class TestGenerate:
     def test_pattern_larger_than_n_prunes_nothing(self, backend, monkeypatch):
         # no twin takes a 65-row pattern, and none is needed: K65 never fits
         monkeypatch.setattr(enumeration, "_kernels", backend)
-        assert count_classes(5, parse_forbidden("K65")) == 34
+        assert sum(1 for _ in generate(5, parse_forbidden("K65"))) == 34
 
     def test_range_is_checked_before_iteration(self):
         with pytest.raises(SizeCapError):
@@ -141,6 +141,11 @@ class TestIngest:
         with pytest.raises(ParseError) as err:
             list(ingest(path))
         assert "line 2" in str(err.value)
+        path.write_text("D??\nD??\nCx!\n")
+        with pytest.raises(ParseError) as err:
+            list(ingest(path))
+        assert (err.value.line, err.value.offset) == (3, 2)
+        assert str(err.value).endswith("got 2 (line 3, byte 2)")
 
     def test_non_ascii_line_reports_number(self, tmp_path):
         path = tmp_path / "graphs.g6"

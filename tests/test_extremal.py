@@ -10,7 +10,6 @@ from turantools.errors import NonConvergenceError, SizeCapError
 from turantools.extremal import (
     TIE_WINDOW,
     build_report,
-    excess_estimate,
     turan_edges,
     verify_containment,
 )
@@ -204,14 +203,12 @@ class TestReports:
     def test_below_r_vertices_the_turan_graph_is_complete(self):
         # T(n, r) = K_n for n <= r, so K4-free graphs on n <= 3 vertices
         # have excess 0 over it
-        reports = verify_containment(1, 5, K4)
-        assert [r.n for r in reports] == [1, 2, 3, 4, 5]
+        reports = verify_containment(1, 6, K4)
+        assert [r.n for r in reports] == [1, 2, 3, 4, 5, 6]
         for rep in reports[:3]:
             assert rep.ex == rep.turan_edges == math.comb(rep.n, 2)
             assert rep.excess == 0
-        assert [r.excess for r in reports] == [0] * 5
-        seq, _ = excess_estimate(K4, 2, 6)
-        assert seq == [(n, 0) for n in range(2, 7)]
+        assert [r.excess for r in reports] == [0] * 6
 
 
 @pytest.fixture
@@ -230,13 +227,14 @@ def augment_calls(monkeypatch):
 
 class TestOneWalk:
     # a walk to n expands each class on 1..n-1 vertices once
-    def test_verify_expands_each_parent_once(self, augment_calls):
-        verify_containment(5, 6, F2)
-        assert len(augment_calls) == 1 + 2 + 4 + 11 + 28
-
-    def test_excess_expands_each_parent_once(self, augment_calls):
-        excess_estimate(K3, 3, 7)
-        assert len(augment_calls) == 1 + 2 + 3 + 7 + 14 + 38
+    @pytest.mark.parametrize(
+        "spec,n_min,n_max,parents",
+        [(F2, 5, 6, 1 + 2 + 4 + 11 + 28), (K3, 3, 7, 1 + 2 + 3 + 7 + 14 + 38)],
+        ids=["F2-5-6", "K3-3-7"],
+    )
+    def test_verify_expands_each_parent_once(self, augment_calls, spec, n_min, n_max, parents):
+        verify_containment(n_min, n_max, spec)
+        assert len(augment_calls) == parents
 
     def test_verify_starts_one_pool(self, pool_starts):
         reports = verify_containment(3, 6, K3, jobs=2)
@@ -266,17 +264,14 @@ class TestEdgelessExtremal:
 
 class TestExcess:
     def test_triangle_zero(self):
-        seq, note = excess_estimate(K3, 3, 7)
-        assert seq == [(n, 0) for n in range(3, 8)]
-        assert "stable at 0" in note
+        reports = verify_containment(3, 7, K3)
+        assert [(r.n, r.excess) for r in reports] == [(n, 0) for n in range(3, 8)]
 
     def test_bowtie_one(self):
-        seq, note = excess_estimate(F2, 5, 7)
-        assert seq == [(5, 1), (6, 1), (7, 1)]
-        assert "stable at 1" in note
+        reports = verify_containment(5, 7, F2)
+        assert [(r.n, r.excess) for r in reports] == [(5, 1), (6, 1), (7, 1)]
 
-    def test_not_stabilized_note(self):
-        seq, note = excess_estimate(F2, 4, 5)
+    def test_bowtie_two_at_n4(self):
+        reports = verify_containment(4, 5, F2)
         # a_4 = ex(4,F2) - e(T_{4,2}) = 6 - 4 = 2 (K4 is bowtie-free), a_5 = 1
-        assert seq == [(4, 2), (5, 1)]
-        assert note == "not stabilized over the sampled range"
+        assert [(r.n, r.excess) for r in reports] == [(4, 2), (5, 1)]

@@ -10,8 +10,6 @@ from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import (
     CanonicalForm,
     Graph,
-    are_isomorphic,
-    automorphism_count,
     canonical_form,
     canonical_graph,
     complete_graph,
@@ -103,7 +101,7 @@ class TestBuilders:
             assert g.m == (n * n - sum(p * p for p in parts)) // 2
 
     def test_turan_examples(self):
-        assert are_isomorphic(turan_graph(4, 2), cycle_graph(4))
+        assert canonical_form(turan_graph(4, 2)) == canonical_form(cycle_graph(4))
         assert turan_graph(7, 3).m == 16
         assert turan_graph(5, 5) == complete_graph(5)
 
@@ -195,7 +193,8 @@ class TestCanonicalForm:
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 8))
             cg = canonical_graph(g)
-            assert brute_isomorphic(g, cg) if g.n <= 7 else are_isomorphic(g, cg)
+            if g.n <= 7:
+                assert brute_isomorphic(g, cg)
             assert canonical_form(cg) == canonical_form(g)
 
     def test_size_cap(self):
@@ -212,32 +211,4 @@ class TestCanonicalForm:
         assert dataclasses.astuple(form) == (5, form.bytes)
         assert form == same and hash(form) == hash(same)
 
-
-class TestAutomorphisms:
-    @pytest.mark.parametrize(
-        "g,expect",
-        [
-            (complete_graph(3), 6),
-            (path_graph(3), 2),
-            (path_graph(4), 2),
-            (cycle_graph(4), 8),
-            (cycle_graph(5), 10),
-            (complete_multipartite([2, 3]), 12),
-            (turan_graph(6, 3), 48),
-            (empty_graph(4), 24),
-            (complete_graph(5), 120),
-        ],
-    )
-    def test_known_groups(self, g, expect):
-        assert automorphism_count(g) == expect
-
-    def test_versus_permutation_count(self):
-        rng = random.Random(31)
-        for _ in range(25):
-            n = rng.randint(1, 6)
-            g = random_graph(rng, n)
-            brute = sum(
-                1 for p in itertools.permutations(range(n)) if g.relabel(p) == g
-            )
-            assert automorphism_count(g) == brute
 

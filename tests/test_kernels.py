@@ -20,7 +20,6 @@ from turantools import _core_py, _kernels, patterns
 from turantools.enumeration import generate
 from turantools.graphs import (
     Graph,
-    _extend_automorphism,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -32,7 +31,7 @@ from turantools.graphs import (
 )
 from turantools.patterns import parse_forbidden
 
-from oracles import contains_by_injections, random_graph
+from oracles import _extend_automorphism, contains_by_injections, random_graph
 
 # Label K_n with a compiled module loaded from argv[1]; prints the form
 # in hex, then the order.

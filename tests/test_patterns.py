@@ -52,12 +52,15 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["K1", "K0", "F0", "F2,2", "F0,4", "W5", "", "g6:", "k3 extra"],
+        ["K1", "K0", "F0", "F2,2", "F0,4", "W5", "", "g6:", "g6:C~x", "k3 extra"],
     )
     def test_rejects(self, bad):
         with pytest.raises(ParseError) as err:
             parse_forbidden(bad)
         assert bad.strip()[:2] in str(err.value) or "spec" in str(err.value)
+        if bad.startswith("g6:"):
+            # the graph6 decoder's byte offset is reported once
+            assert str(err.value).count("(byte ") == 1
 
     def test_rejects_edgeless(self):
         with pytest.raises(ParseError):

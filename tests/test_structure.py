@@ -154,14 +154,16 @@ class TestDegreeClasses:
 
 class TestStructuralChecks:
     def test_turan_62_all_hold(self):
-        checks = structural_checks(turan_graph(6, 2), K3, 0)
+        g = turan_graph(6, 2)
+        checks = structural_checks(g, K3, 0, max_cut_partition(g, K3.r))
         by_id = {c.check_id: c for c in checks}
         assert len(checks) == 7
         assert all(c.holds for c in checks)
         assert by_id["spectral_lower_bound"].slack == pytest.approx(1 / 12, abs=1e-9)
 
     def test_turan_73_floor_fails_with_value_y1(self):
-        checks = structural_checks(turan_graph(7, 3), K4, 0)
+        g = turan_graph(7, 3)
+        checks = structural_checks(g, K4, 0, max_cut_partition(g, K4.r))
         by_id = {c.check_id: c for c in checks}
         zero_slack_ids = [
             "internal_edges_per_part",
@@ -183,12 +185,14 @@ class TestStructuralChecks:
 
         F2 = parse_forbidden("F2")
         for s in build_report(6, F2).spectral_extremal:
-            checks = structural_checks(from_graph6(s), F2, 1)
+            g = from_graph6(s)
+            checks = structural_checks(g, F2, 1, max_cut_partition(g, F2.r))
             by_id = {c.check_id: c for c in checks}
             assert by_id["internal_minus_missing"].holds  # e_in - e_out <= 1
 
     def test_json_shape(self):
-        checks = structural_checks(turan_graph(6, 2), K3, 0)
+        g = turan_graph(6, 2)
+        checks = structural_checks(g, K3, 0, max_cut_partition(g, K3.r))
         d = checks[0].to_dict()
         assert set(d) == {"check_id", "statement", "holds", "lhs", "rhs", "slack"}
 
