@@ -35,7 +35,8 @@ typedef struct {
     unsigned char best[MAXBYTES];
     int best_order[MAXN];
     int have_best;
-    int *gens; /* ngens discovered automorphisms of n ints, vertex -> vertex */
+    int *gens; /* ngens automorphisms of n ints, vertex -> vertex: seeded
+                * twin transpositions, then those found at leaves */
     int ngens, maxgens;
     int nomem; /* growing gens failed: the search unwinds */
     int prefix[MAXN]; /* vertices individualized on the current path */
@@ -139,15 +140,43 @@ static void add_gen(CanonState *st, const int *order_a, const int *order_b)
         perm[order_a[i]] = order_b[i];
 }
 
+/* Store the transpositions of twins as generators before the search.
+ * Vertices with equal open neighbourhoods (false twins) or equal closed
+ * ones (true twins) are swapped by an automorphism.  Each twin class is
+ * chained, (u v) for consecutive members u < v: a star centred on u
+ * fixes no prefix holding u, so it would stop pruning below the first
+ * level. */
+static void seed_twins(CanonState *st)
+{
+    int n = st->n, ident[MAXN], swapped[MAXN];
+    for (int v = 0; v < n; v++)
+        ident[v] = swapped[v] = v;
+    for (int v = 1; v < n; v++)
+        for (int closed = 0; closed <= 1; closed++) {
+            u64 key = st->adj[v] | (closed ? bit(v) : 0);
+            int u = v - 1;
+            while (u >= 0 && (st->adj[u] | (closed ? bit(u) : 0)) != key)
+                u--;
+            if (u < 0)
+                continue;
+            swapped[u] = v;
+            swapped[v] = u;
+            add_gen(st, ident, swapped);
+            swapped[u] = u;
+            swapped[v] = v;
+        }
+}
+
 static void record_leaf(CanonState *st, const int *lab)
 {
     unsigned char buf[MAXBYTES];
     int n = st->n, nbytes = st->nbytes;
     pack_triangle(n, st->adj, lab, buf, nbytes);
-    /* Comparing with the best leaf alone finds the whole group: every
-     * automorphism maps it to a leaf of equal form, reached later or in
-     * a branch pruned by generators already found.  No generator comes
-     * twice: a stored best -> leaf map would have pruned that leaf. */
+    /* Comparing with the best leaf alone finds the rest of the group:
+     * every automorphism maps it to a leaf of equal form, reached later
+     * or in a branch pruned by generators already known (found at leaves
+     * or seeded from twins, which no leaf finds).  No found generator
+     * repeats one: a known best -> leaf map would have pruned that leaf. */
     if (!st->have_best || memcmp(buf, st->best, nbytes) < 0) {
         memcpy(st->best, buf, nbytes);
         memcpy(st->best_order, lab, (size_t)n * sizeof(int));
@@ -246,14 +275,20 @@ static void search(CanonState *st, const int *lab_in, const char *ptn_in)
 /* Canonical form of a graph with n <= MAXN vertices into form_out;
  * order_out[i] is the vertex placed at canonical position i and
  * orbits_out[v] the least vertex in v's orbit under the found
- * automorphisms.  Returns the form's length in bytes, or -1 with
- * MemoryError set when the generator store cannot grow. */
+ * automorphisms.  With gens_out, the caller takes the generator store
+ * (*ngens_out permutations of n ints, NULL when there are none) and
+ * frees it.  Returns the form's length in bytes, or -1 with MemoryError
+ * set when the generator store cannot grow. */
 static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
-                         unsigned char *form_out)
+                         unsigned char *form_out, int **gens_out, int *ngens_out)
 {
     CanonState st;
     int lab[MAXN], degs[MAXN], parent[MAXN], maxdeg = 0, pos = 0, applied = 0;
     char ptn[MAXN];
+    if (gens_out != NULL) {
+        *gens_out = NULL;
+        *ngens_out = 0;
+    }
     if (n <= 1) {
         if (n == 1)
             order_out[0] = orbits_out[0] = 0;
@@ -265,6 +300,7 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
     st.have_best = 0;
     st.gens = NULL;
     st.ngens = st.maxgens = st.nomem = st.depth = 0;
+    seed_twins(&st);
     for (int i = 0; i < n; i++) {
         degs[i] = popcount(adj[i]);
         if (degs[i] > maxdeg)
@@ -278,7 +314,8 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
     for (int i = 0; i < n - 1; i++)
         ptn[i] = degs[lab[i]] == degs[lab[i + 1]];
     ptn[n - 1] = 0;
-    search(&st, lab, ptn);
+    if (!st.nomem)
+        search(&st, lab, ptn);
     if (st.nomem) {
         free(st.gens);
         PyErr_NoMemory();
@@ -288,7 +325,12 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
     for (int v = 0; v < n; v++)
         parent[v] = v;
     absorb_gens(&st, parent, &applied);
-    free(st.gens);
+    if (gens_out != NULL) {
+        *gens_out = st.gens;
+        *ngens_out = st.ngens;
+    } else {
+        free(st.gens);
+    }
     for (int v = 0; v < n; v++)
         orbits_out[v] = uf_find(parent, v);
     memcpy(order_out, st.best_order, (size_t)n * sizeof(int));
@@ -397,6 +439,63 @@ static int anchored(int gn, const u64 *gadj, const AnchoredPlan *plan, int ancho
 }
 
 /* ------------------------------------------------------------------------
+ * subset orbits under the parent's automorphisms
+ * ---------------------------------------------------------------------- */
+
+typedef struct {
+    int n, ngens;
+    int *gens;   /* ngens permutations of n ints */
+    u64 *seen;   /* 2^n bits: masks in an orbit already met */
+    u64 *todo;   /* stack of masks whose images are still to be marked */
+    size_t maxtodo;
+} MaskOrbits;
+
+static int mask_seen(const MaskOrbits *mo, u64 mask)
+{
+    return (mo->seen[mask >> 6] >> (mask & 63)) & 1;
+}
+
+static void free_mask_orbits(MaskOrbits *mo)
+{
+    free(mo->gens);
+    free(mo->seen);
+    free(mo->todo);
+}
+
+/* Mark the orbit of mask in seen.  Returns -1 with MemoryError set when
+ * the stack cannot grow. */
+static int mark_orbit(MaskOrbits *mo, u64 mask)
+{
+    size_t top = 0;
+    mo->seen[mask >> 6] |= bit(mask & 63);
+    for (;;) {
+        for (int g = 0; g < mo->ngens; g++) {
+            const int *perm = mo->gens + (size_t)g * mo->n;
+            u64 img = 0;
+            for (u64 m = mask; m; m &= m - 1)
+                img |= bit(perm[lowbit(m)]);
+            if (mask_seen(mo, img))
+                continue;
+            mo->seen[img >> 6] |= bit(img & 63);
+            if (top == mo->maxtodo) {
+                size_t grown = mo->maxtodo ? 2 * mo->maxtodo : 64;
+                u64 *todo = realloc(mo->todo, grown * sizeof(u64));
+                if (todo == NULL) {
+                    PyErr_NoMemory();
+                    return -1;
+                }
+                mo->todo = todo;
+                mo->maxtodo = grown;
+            }
+            mo->todo[top++] = img;
+        }
+        if (top == 0)
+            return 0;
+        mask = mo->todo[--top];
+    }
+}
+
+/* ------------------------------------------------------------------------
  * argument conversion
  * ---------------------------------------------------------------------- */
 
@@ -502,7 +601,7 @@ static PyObject *py_canonical_labeling(PyObject *self, PyObject *args)
         return NULL;
     if (check_count(n, "n") < 0 || load_adj(adj_obj, adj, n) < 0)
         return NULL;
-    nbytes = run_canonical(n, adj, order, orbits, form);
+    nbytes = run_canonical(n, adj, order, orbits, form, NULL, NULL);
     if (nbytes < 0)
         return NULL;
     order_obj = int_tuple(n, order);
@@ -528,7 +627,7 @@ static PyObject *py_canonical_bytes(PyObject *self, PyObject *args)
         return NULL;
     if (check_count(n, "n") < 0 || load_adj(adj_obj, adj, n) < 0)
         return NULL;
-    nbytes = run_canonical(n, adj, order, orbits, form);
+    nbytes = run_canonical(n, adj, order, orbits, form, NULL, NULL);
     if (nbytes < 0)
         return NULL;
     return PyBytes_FromStringAndSize((const char *)form, nbytes);
@@ -589,6 +688,11 @@ PyDoc_STRVAR(augment_children_doc,
 "emitted as.  So a k-subset is skipped iff k < D, the parent's\n"
 "maximum degree, or k = D and it holds a vertex of degree D, which\n"
 "its new edge lifts to D + 1 > k.\n\n"
+"Of the subsets left, only the least of each orbit under the parent's\n"
+"automorphisms is expanded.  An automorphism g of the parent, with\n"
+"the new vertex fixed, maps the child of S onto the child of g(S), so\n"
+"both get the same containment and orbit verdicts; and a class's\n"
+"first candidate is always the least subset of its orbit.\n\n"
 "Returns ``[(child_adj, child_canon), ...]`` in subset order.");
 
 static PyObject *py_augment_children(PyObject *self, PyObject *args)
@@ -597,6 +701,7 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
     u64 parent[MAXN], child[MAXN], fadj[MAXN], tops = 0;
     unsigned char form[MAXBYTES];
     AnchoredPlan plan;
+    MaskOrbits orbs = {0, 0, NULL, NULL, NULL, 0};
     Py_ssize_t pos = 0;
     PyObject *adj_obj, *fadj_obj, *form_obj, *item;
     PyObject *first = NULL, *accepted = NULL, *out = NULL;
@@ -611,6 +716,17 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
     if (load_adj(adj_obj, parent, n) < 0 || load_adj(fadj_obj, fadj, fn) < 0)
         return NULL;
     plan_anchored(fn, fadj, &plan);
+    /* the parent's generators: only the least mask of each orbit is expanded */
+    orbs.n = n;
+    if (run_canonical(n, parent, order, orbits, form, &orbs.gens, &orbs.ngens) < 0)
+        return NULL;
+    if (orbs.ngens) {
+        orbs.seen = calloc((size_t)((bit(n) + 63) >> 6), sizeof(u64));
+        if (orbs.seen == NULL) {
+            PyErr_NoMemory();
+            goto error;
+        }
+    }
     for (int v = 0; v < n; v++) {
         int d = popcount(parent[v]);
         if (d > top) {
@@ -629,13 +745,19 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         int nbytes, rc, k = popcount(mask);
         if (k < top || (k == top && (mask & tops)))
             continue;
+        if (orbs.ngens) {
+            if (mask_seen(&orbs, mask))
+                continue;
+            if (mark_orbit(&orbs, mask) < 0)
+                goto error;
+        }
         memcpy(child, parent, (size_t)n * sizeof(u64));
         child[n] = mask;
         for (u64 m = mask; m; m &= m - 1)
             child[lowbit(m)] |= bit(n);
         if (fn && anchored(n + 1, child, &plan, n))
             continue;
-        nbytes = run_canonical(n + 1, child, order, orbits, form);
+        nbytes = run_canonical(n + 1, child, order, orbits, form, NULL, NULL);
         if (nbytes < 0)
             goto error;
         form_obj = PyBytes_FromStringAndSize((const char *)form, nbytes);
@@ -662,11 +784,13 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
     }
     Py_DECREF(first);
     Py_DECREF(accepted);
+    free_mask_orbits(&orbs);
     return out;
 error:
     Py_XDECREF(first);
     Py_XDECREF(accepted);
     Py_XDECREF(out);
+    free_mask_orbits(&orbs);
     return NULL;
 }
 

@@ -114,10 +114,13 @@ class _CanonSearch:
         self.adj = adj
         self.best = None
         self.best_order = None
-        self.gens = []  # discovered automorphisms, vertex -> vertex tuples
+        # automorphisms as vertex -> vertex tuples: seeded twin
+        # transpositions, then those found at leaves
+        self.gens = []
 
     def run(self):
         n, adj = self.n, self.adj
+        self._seed_twins()
         by_degree = {}
         for v in range(n):
             by_degree.setdefault(adj[v].bit_count(), []).append(v)
@@ -132,12 +135,34 @@ class _CanonSearch:
         orbits = [uf.find(v) for v in range(n)]
         return self.best, tuple(self.best_order), tuple(orbits)
 
+    def _seed_twins(self):
+        """Store the transpositions of twins as generators before searching.
+
+        Vertices with equal open neighbourhoods (false twins) or equal
+        closed ones (true twins) are swapped by an automorphism.  Each twin
+        class is chained, (u v) for consecutive members u < v: a star
+        centred on u fixes no prefix holding u, so it would stop pruning
+        below the first level.
+        """
+        n, adj = self.n, self.adj
+        last = {}  # (closed?, neighbourhood) -> the latest vertex with it
+        for v in range(n):
+            for key in ((False, adj[v]), (True, adj[v] | 1 << v)):
+                u = last.get(key)
+                last[key] = v
+                if u is not None:
+                    perm = list(range(n))
+                    perm[u], perm[v] = v, u
+                    self.gens.append(tuple(perm))
+
     def _record_leaf(self, order):
         bts = _pack_upper_triangle(self.n, self.adj, order)
-        # Comparing with the best leaf alone finds the whole group: every
-        # automorphism maps it to a leaf of equal form, reached later or in
-        # a branch pruned by generators already found.  No generator comes
-        # twice: a stored best -> leaf map would have pruned that leaf.
+        # Comparing with the best leaf alone finds the rest of the group:
+        # every automorphism maps it to a leaf of equal form, reached later
+        # or in a branch pruned by generators already known (found at
+        # leaves or seeded from twins, which no leaf finds).  No found
+        # generator repeats one: a known best -> leaf map would have pruned
+        # that leaf.
         if self.best is None or bts < self.best:
             self.best = bts
             self.best_order = order
@@ -309,6 +334,24 @@ def contains_subgraph_anchored(gn, gadj, fn, fadj, anchor):
 # ---------------------------------------------------------------------------
 
 
+def _mark_orbit(mask, images, seen):
+    """Add the orbit of ``mask`` under the generators to ``seen``."""
+    seen.add(mask)
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for img in images:
+            out = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                out |= img[low.bit_length() - 1]
+                rest ^= low
+            if out not in seen:
+                seen.add(out)
+                todo.append(out)
+
+
 def augment_children(n, adj, fn, fadj):
     """One level of canonical augmentation.
 
@@ -331,11 +374,22 @@ def augment_children(n, adj, fn, fadj):
     maximum degree, or k = D and it holds a vertex of degree D, which
     its new edge lifts to D + 1 > k.
 
+    Of the subsets left, only the least of each orbit under the parent's
+    automorphisms is expanded.  An automorphism g of the parent, with
+    the new vertex fixed, maps the child of S onto the child of g(S), so
+    both get the same containment and orbit verdicts; and a class's
+    first candidate is always the least subset of its orbit.
+
     Returns ``[(child_adj, child_canon), ...]`` in subset order.
     """
     if n >= 64:
         raise ValueError("augmentation kernel caps graphs at 64 vertices")
     _check_args(fn, n=n, fn=fn)
+    search = _CanonSearch(n, adj)
+    search.run()
+    # each generator as the image of every vertex bit, for mapping masks
+    images = [[1 << g[v] for v in range(n)] for g in search.gens]
+    seen = set()
     first = {}
     accepted = set()
     newbit = 1 << n
@@ -347,6 +401,10 @@ def augment_children(n, adj, fn, fadj):
         k = mask.bit_count()
         if k < top or (k == top and mask & tops):
             continue
+        if images:
+            if mask in seen:
+                continue
+            _mark_orbit(mask, images, seen)
         child = base.copy()
         child[n] = mask
         m = mask

@@ -8,7 +8,9 @@ that vertex gives back the parent's class.  So each isomorphism class
 is produced exactly once with no cross-level bookkeeping.  Only
 subsets that give the new vertex the maximum degree are tried, since
 the canonically-last vertex always has the maximum degree and the
-orbit test fails on every other child.  Pattern pruning cuts whole
+orbit test fails on every other child, and only the least subset of
+each orbit under the parent's automorphisms, since the rest give
+isomorphic children with the same verdicts.  Pattern pruning cuts whole
 subtrees: containment is monotone under adding vertices and edges, so
 a child containing the forbidden graph can never lead to a free
 descendant.  Levels are sorted by canonical form, so classes come out

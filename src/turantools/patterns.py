@@ -86,7 +86,9 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
         try:
             graph = from_graph6(body)
         except ParseError as exc:
-            raise ParseError(f"bad graph6 in {token!r}: {exc.message}", offset=exc.offset) from exc
+            # the decoder counts from the body; ParseError counts from the token
+            offset = None if exc.offset is None else exc.offset + len("g6:")
+            raise ParseError(f"bad graph6 in {token!r}: {exc.message}", offset=offset) from exc
         if graph.m == 0:
             raise ParseError(f"forbidden graph must have at least one edge: {token!r}")
         chi = chromatic_number(graph)

@@ -27,6 +27,11 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return any(g.relabel(p) == h for p in itertools.permutations(range(g.n)))
 
 
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """The whole automorphism group of g, by permutation brute force."""
+    return [p for p in itertools.permutations(range(g.n)) if g.relabel(p) == g]
+
+
 def _extend_automorphism(n, adj, degs, prefix_images) -> bool:
     """Does some automorphism send vertex t to prefix_images[t] for all t?
 

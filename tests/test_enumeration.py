@@ -98,19 +98,26 @@ class TestGenerate:
             generate(7, n_min=8)
 
     @pytest.mark.parametrize(
-        "argv,digest",
+        "backend,argv,digest",
         [
-            (["--n", "8"], "ff71314578f47f187c3491482dc828e0972e248efe0c91750b939ce7243168c2"),
-            (["--n", "8", "--forbid", "F2"],
-             "1379823ce3042dc7fce5495ab25a75770232d5f9954d053b52f5f819b31ad0ff"),
-            (["--n", "10", "--forbid", "K3"],
+            (twin, argv, digest)
+            for argv, digest in [
+                (["--n", "8"], "ff71314578f47f187c3491482dc828e0972e248efe0c91750b939ce7243168c2"),
+                (["--n", "8", "--forbid", "F2"],
+                 "1379823ce3042dc7fce5495ab25a75770232d5f9954d053b52f5f819b31ad0ff"),
+            ]
+            for twin in ("python", "c")
+        ] + [
+            # compiled only, to keep the suite short
+            ("c", ["--n", "10", "--forbid", "K3"],
              "935d57af1fc6a36d8404179782916daddf7519d4ebaa6ae9ff2e656fdf5fa23b"),
         ],
-        ids=["all-8", "F2-8", "K3-10"],
+        ids=["python-all-8", "c-all-8", "python-F2-8", "c-F2-8", "c-K3-10"],
+        indirect=["backend"],
     )
-    def test_compiled_walk_output_is_pinned(self, core, monkeypatch, capsys, argv, digest):
+    def test_walk_output_is_pinned(self, backend, monkeypatch, capsys, argv, digest):
         # digests of gen stdout under the earlier delete-and-relabel acceptance rule
-        monkeypatch.setattr(enumeration, "_kernels", core)
+        monkeypatch.setattr(enumeration, "_kernels", backend)
         assert cli.main(["gen", "--jobs", "1", *argv]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 

@@ -1,6 +1,7 @@
 """Byte-for-byte parity between the compiled and pure-Python kernels,
 brute-force checks of the orbits and representatives both return, and
-an every-subset reference for the max-degree prefilter of augmentation.
+an every-subset reference for the max-degree prefilter and the
+subset-orbit skip of augmentation.
 
 The compiled twin (the ``core`` fixture) is built from ``_core.c`` once
 per session into a temporary directory, so these tests run wherever a
@@ -31,19 +32,51 @@ from turantools.graphs import (
 )
 from turantools.patterns import parse_forbidden
 
-from oracles import _extend_automorphism, contains_by_injections, random_graph
+from oracles import (
+    _extend_automorphism,
+    automorphisms,
+    contains_by_injections,
+    random_graph,
+)
 
-# Label K_n with a compiled module loaded from argv[1]; prints the form
-# in hex, then the order.
-LABEL_COMPLETE = """
-import importlib.util, sys
+# Label K_n (argv[2] == "complete") or the edgeless graph on n = argv[3]
+# vertices with the twin loaded from argv[1]; prints the seconds the
+# labeling took, the form in hex, then the order.
+LABEL = """
+import importlib.util, sys, time
 spec = importlib.util.spec_from_file_location("turantools._core", sys.argv[1])
-core = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(core)
-n = int(sys.argv[2])
-form, order, _ = core.canonical_labeling(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))
-print(form.hex(), *order)
+twin = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(twin)
+n = int(sys.argv[3])
+full = (1 << n) - 1 if sys.argv[2] == "complete" else 0
+start = time.perf_counter()
+form, order, _ = twin.canonical_labeling(n, tuple(full & ~(1 << v) for v in range(n)))
+print(time.perf_counter() - start, form.hex(), *order)
 """
+
+
+def _label_in_subprocess(twin, shape, n):
+    """Label K_n or the edgeless graph in a child process.
+
+    A C loop cannot be interrupted in-process, hence the subprocess and
+    its timeout.  Returns (seconds, form, order)."""
+    proc = subprocess.run([sys.executable, "-c", LABEL, twin.__file__, shape, str(n)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    seconds, form_hex, *order = proc.stdout.split()
+    return float(seconds), bytes.fromhex(form_hex), tuple(map(int, order))
+
+
+def _symmetric_hosts():
+    """Hosts with n <= 8 whose large groups make most subsets orbit-mates:
+    edgeless, complete, Turán, unbalanced complete bipartite and cycles."""
+    hosts = []
+    for n in range(1, 9):
+        hosts += [empty_graph(n), complete_graph(n)]
+        hosts += [turan_graph(n, r) for r in range(2, n)]
+        hosts += [complete_multipartite([a, n - a]) for a in range(1, n // 2)]
+        hosts += [cycle_graph(n)] if n >= 3 else []
+    return hosts
 
 
 def test_backend_names(core):
@@ -161,35 +194,39 @@ def test_public_containment_matches_injections(backend, monkeypatch):
 
 
 def test_augment_parity(core):
+    # random parents, then symmetric ones, where the twins skip subsets
+    # by the parent's generators
     rng = random.Random(5)
-    k3 = complete_graph(3)
-    for _ in range(80):
-        n = rng.randint(1, 6)
-        g = random_graph(rng, n)
-        assert core.augment_children(n, g.adj, 0, ()) == _core_py.augment_children(
-            n, g.adj, 0, ()
-        )
-        assert core.augment_children(n, g.adj, k3.n, k3.adj) == _core_py.augment_children(
-            n, g.adj, k3.n, k3.adj
-        )
+    hosts = [random_graph(rng, rng.randint(1, 6)) for _ in range(80)] + _symmetric_hosts()
+    forbidden = [(0, ())] + [(f.n, f.adj)
+                             for f in (complete_graph(3), parse_forbidden("F2").graph)]
+    for g in hosts:
+        for fn, fadj in forbidden:
+            assert core.augment_children(g.n, g.adj, fn, fadj) == _core_py.augment_children(
+                g.n, g.adj, fn, fadj
+            ), (g, fn)
 
 
 @pytest.mark.parametrize("n", [24, 40])
 def test_complete_graph_labels_in_bounded_time(core, n):
     # K_n has n(n-1)/2 automorphism generators; a search that stops
-    # storing them stops pruning and runs for minutes.  A C loop cannot
-    # be interrupted in-process, hence the subprocess and its timeout.
-    proc = subprocess.run([sys.executable, "-c", LABEL_COMPLETE, core.__file__, str(n)],
-                          capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 0, proc.stderr
-    form_hex, *order = proc.stdout.split()
+    # storing them stops pruning and runs for minutes
+    _, form, order = _label_in_subprocess(core, "complete", n)
     pairs = n * (n - 1) // 2
     nbytes = (pairs + 7) // 8
-    form = bytes.fromhex(form_hex)
     assert form == (((1 << pairs) - 1) << (8 * nbytes - pairs)).to_bytes(nbytes, "big")
     if n == 24:
         k24 = complete_graph(24)
-        assert (form, tuple(map(int, order))) == _core_py.canonical_labeling(24, k24.adj)[:2]
+        assert (form, order) == _core_py.canonical_labeling(24, k24.adj)[:2]
+
+
+def test_edgeless_labels_in_bounded_time(backend):
+    # the 63 twin transpositions, seeded as a chain, leave one path to a
+    # single leaf; seeded as stars, no generator fixes the first vertex
+    # chosen, and n = 64 takes seconds compiled and minutes pure
+    seconds, form, order = _label_in_subprocess(backend, "edgeless", 64)
+    assert seconds < 1.0
+    assert form == bytes(64 * 63 // 16) and order == tuple(range(64))
 
 
 def test_labeling_reconstructs_graph(backend):
@@ -331,10 +368,9 @@ def _augment_every_subset(twin, n, adj, fn, fadj):
 def test_augment_matches_every_subset_loop(backend, forbid):
     spec = parse_forbidden(forbid) if forbid else None
     fn, fadj = (spec.graph.n, spec.graph.adj) if spec else (0, ())
-    for n in range(1, 7):
-        for g in generate(n, spec):
-            expected = _augment_every_subset(backend, n, g.adj, fn, fadj)
-            assert backend.augment_children(n, g.adj, fn, fadj) == expected, g
+    for g in [g for n in range(1, 7) for g in generate(n, spec)] + _symmetric_hosts():
+        expected = _augment_every_subset(backend, g.n, g.adj, fn, fadj)
+        assert backend.augment_children(g.n, g.adj, fn, fadj) == expected, g
 
 
 def test_augment_labels_only_top_degree_children(monkeypatch):
@@ -356,3 +392,38 @@ def test_augment_labels_only_top_degree_children(monkeypatch):
     assert labeled
     for adj in labeled:
         assert adj[-1].bit_count() == max(row.bit_count() for row in adj), adj
+
+
+def _subset_orbit_count(g, masks):
+    """The number of Aut(g)-orbits that meet the vertex subsets ``masks``."""
+    group = automorphisms(g)
+    return len({min(sum(1 << p[v] for v in range(g.n) if (mask >> v) & 1) for p in group)
+                for mask in masks})
+
+
+@pytest.mark.parametrize("forbid", [None, "K3"])
+def test_augment_labels_one_child_per_subset_orbit(monkeypatch, forbid):
+    # of the subsets that give the new vertex the maximum degree and keep
+    # the child pattern-free, only one per Aut(parent)-orbit is labeled
+    spec = parse_forbidden(forbid) if forbid else None
+    f = spec.graph if spec else None
+    parents = [g for n in range(1, 7) for g in generate(n, spec)]
+    labeled = []
+    label = _core_py.canonical_labeling
+
+    def spy(n, adj):
+        labeled.append(adj)
+        return label(n, adj)
+
+    monkeypatch.setattr(_core_py, "canonical_labeling", spy)
+    for g in parents:
+        n, masks = g.n, []
+        for mask in range(1 << n):
+            rows = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(g.adj))
+            child = Graph.from_adj(rows + (mask,))
+            degs = child.degrees()
+            if degs[n] == max(degs) and not (f and contains_by_injections(child, f)):
+                masks.append(mask)
+        labeled.clear()
+        _core_py.augment_children(n, g.adj, *((f.n, f.adj) if f else (0, ())))
+        assert len(labeled) == _subset_orbit_count(g, masks), g

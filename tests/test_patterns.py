@@ -61,6 +61,10 @@ class TestParse:
         if bad.startswith("g6:"):
             # the graph6 decoder's byte offset is reported once
             assert str(err.value).count("(byte ") == 1
+        if bad == "g6:C~x":
+            # counted inside the whole token, not inside the graph6 body
+            assert err.value.offset == 5
+            assert str(err.value).endswith("(byte 5)")
 
     def test_rejects_edgeless(self):
         with pytest.raises(ParseError):
