@@ -217,9 +217,10 @@ static void absorb_gens(const CanonState *st, int *parent, int *applied)
 static void search(CanonState *st, const int *lab_in, const char *ptn_in)
 {
     int n = st->n;
-    int lab[MAXN], child_lab[MAXN], cell[MAXN], parent[MAXN], tried[MAXN];
+    int lab[MAXN], child_lab[MAXN], parent[MAXN];
     char ptn[MAXN], child_ptn[MAXN];
-    int ntried = 0, applied = 0, a = 0, b = 0, cell_len;
+    int applied = 0, a = 0, b = 0;
+    u64 cell = 0;
     memcpy(lab, lab_in, (size_t)n * sizeof(int));
     memcpy(ptn, ptn_in, (size_t)n);
     refine(st, lab, ptn);
@@ -235,34 +236,25 @@ static void search(CanonState *st, const int *lab_in, const char *ptn_in)
             break;
         a = b + 1;
     }
-    cell_len = b - a + 1;
-    /* candidates in ascending vertex order */
-    for (int i = 0; i < cell_len; i++) {
-        int v = lab[a + i], k = i - 1;
-        while (k >= 0 && cell[k] > v) {
-            cell[k + 1] = cell[k];
-            k--;
-        }
-        cell[k + 1] = v;
-    }
+    for (int k = a; k <= b; k++)
+        cell |= bit(lab[k]);
     for (int i = 0; i < n; i++)
         parent[i] = i;
-    for (int i = 0; i < cell_len && !st->nomem; i++) {
-        int v = cell[i], k, pos;
+    /* Candidates in ascending vertex order.  An automorphism fixing the
+     * prefix keeps every cell, so v's class lies in the target cell, and
+     * its root, the least vertex, came earlier: a root other than v was
+     * expanded or joined to an expanded vertex. */
+    for (; cell && !st->nomem; cell &= cell - 1) {
+        int v = lowbit(cell), pos = a + 1;
         /* pick up generators found so far, by earlier siblings too */
         absorb_gens(st, parent, &applied);
-        for (k = 0; k < ntried; k++)
-            if (uf_find(parent, v) == uf_find(parent, tried[k]))
-                break;
-        if (k < ntried)
+        if (uf_find(parent, v) != v)
             continue;
-        tried[ntried++] = v;
         /* individualize v at the front of the target cell */
         memcpy(child_lab, lab, (size_t)n * sizeof(int));
         memcpy(child_ptn, ptn, (size_t)n);
         child_lab[a] = v;
-        pos = a + 1;
-        for (k = a; k <= b; k++)
+        for (int k = a; k <= b; k++)
             if (lab[k] != v)
                 child_lab[pos++] = lab[k];
         child_ptn[a] = 0;
@@ -619,18 +611,13 @@ PyDoc_STRVAR(canonical_bytes_doc,
 
 static PyObject *py_canonical_bytes(PyObject *self, PyObject *args)
 {
-    int n, nbytes, order[MAXN], orbits[MAXN];
-    u64 adj[MAXN];
-    unsigned char form[MAXBYTES];
-    PyObject *adj_obj;
-    if (!PyArg_ParseTuple(args, "iO:canonical_bytes", &n, &adj_obj))
+    PyObject *form, *labeling = py_canonical_labeling(self, args);
+    if (labeling == NULL)
         return NULL;
-    if (check_count(n, "n") < 0 || load_adj(adj_obj, adj, n) < 0)
-        return NULL;
-    nbytes = run_canonical(n, adj, order, orbits, form, NULL, NULL);
-    if (nbytes < 0)
-        return NULL;
-    return PyBytes_FromStringAndSize((const char *)form, nbytes);
+    form = PyTuple_GET_ITEM(labeling, 0);
+    Py_INCREF(form);
+    Py_DECREF(labeling);
+    return form;
 }
 
 PyDoc_STRVAR(contains_subgraph_anchored_doc,

@@ -197,13 +197,14 @@ class _CanonSearch:
                     for v in range(self.n):
                         uf.union(v, g[v])
 
-        tried = []
-        cell = sorted(cells[target])
-        for v in cell:
+        # An automorphism fixing the prefix keeps every cell, so v's class
+        # lies in the target cell, and its root, the least vertex, came
+        # earlier in ascending order: a root other than v was expanded or
+        # joined to an expanded vertex.
+        for v in sorted(cells[target]):
             absorb_gens()
-            if any(uf.find(v) == uf.find(u) for u in tried):
+            if uf.find(v) != v:
                 continue
-            tried.append(v)
             child = (
                 cells[:target]
                 + [[v], [w for w in cells[target] if w != v]]

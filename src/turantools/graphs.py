@@ -182,21 +182,14 @@ def complete_multipartite(parts: Iterable[int]) -> Graph:
         raise ValueError("part sizes must be a nonempty list")
     if any(p <= 0 for p in parts):
         raise ValueError(f"part sizes must be positive, got {parts}")
-    n = sum(parts)
-    masks = []
+    full = (1 << sum(parts)) - 1
+    rows = []
     start = 0
     for p in parts:
-        masks.append(((1 << p) - 1) << start)
+        # parts are contiguous: every vertex of this one gets the same row
+        rows += [full & ~(((1 << p) - 1) << start)] * p
         start += p
-    full = (1 << n) - 1
-    rows = []
-    for mask in masks:
-        row = full & ~mask
-        for v in range(n):
-            if (mask >> v) & 1:
-                rows.append((v, row))
-    rows.sort()
-    return Graph.from_adj(tuple(r for _, r in rows))
+    return Graph.from_adj(tuple(rows))
 
 
 def turan_parts(n: int, r: int) -> list[int]:

@@ -39,8 +39,11 @@ class ForbiddenSpec:
     source: str
     graph: Graph
     chi: int
-    r: int
     name: str | None = None
+
+    @property
+    def r(self) -> int:
+        return self.chi - 1
 
 
 def intersecting_cliques(k: int, s: int) -> Graph:
@@ -68,19 +71,19 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
         s = int(m.group(1))
         if s < 2:
             raise ParseError(f"complete graph needs s >= 2 in {token!r}")
-        return ForbiddenSpec(token, complete_graph(s), chi=s, r=s - 1, name=token)
+        return ForbiddenSpec(token, complete_graph(s), chi=s, name=token)
     if m := _F_RE.match(token):
         k = int(m.group(1))
         if k < 1:
             raise ParseError(f"need k >= 1 in {token!r}")
-        return ForbiddenSpec(token, friendship_graph(k), chi=3, r=2, name=token)
+        return ForbiddenSpec(token, friendship_graph(k), chi=3, name=token)
     if m := _FKR_RE.match(token):
         k, s = int(m.group(1)), int(m.group(2))
         if k < 1:
             raise ParseError(f"need k >= 1 in {token!r}")
         if s < 3:
             raise ParseError(f"clique size must be >= 3 in {token!r}")
-        return ForbiddenSpec(token, intersecting_cliques(k, s), chi=s, r=s - 1, name=token)
+        return ForbiddenSpec(token, intersecting_cliques(k, s), chi=s, name=token)
     if token.startswith("g6:"):
         body = token[3:]
         try:
@@ -91,8 +94,7 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
             raise ParseError(f"bad graph6 in {token!r}: {exc.message}", offset=offset) from exc
         if graph.m == 0:
             raise ParseError(f"forbidden graph must have at least one edge: {token!r}")
-        chi = chromatic_number(graph)
-        return ForbiddenSpec(token, graph, chi=chi, r=chi - 1)
+        return ForbiddenSpec(token, graph, chi=chromatic_number(graph))
     raise ParseError(
         f"unknown forbidden-graph spec {token!r} "
         "(expected K<s>, F<k>, F<k>,<s>, or g6:<graph6>)"
@@ -122,43 +124,8 @@ def is_free(g: Graph, spec: ForbiddenSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact chromatic number (branch and bound)
+# exact chromatic number (backtracking)
 # ---------------------------------------------------------------------------
-
-
-def _greedy_coloring_bound(g: Graph) -> int:
-    order = sorted(range(g.n), key=g.degree, reverse=True)
-    colors = {}
-    used = 0
-    for v in order:
-        taken = {colors[u] for u in g.neighbors(v) if u in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-    return used
-
-
-def _max_clique_bound(g: Graph) -> int:
-    best = 0
-
-    def extend(clique_size, candidates):
-        nonlocal best
-        if clique_size + candidates.bit_count() <= best:
-            return
-        if candidates == 0:
-            best = max(best, clique_size)
-            return
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            if clique_size + 1 + (candidates & g.adj[v]).bit_count() <= best:
-                continue
-            extend(clique_size + 1, candidates & g.adj[v])
-
-    extend(0, (1 << g.n) - 1)
-    return best
 
 
 def _is_k_colorable(g: Graph, k: int) -> bool:
@@ -183,7 +150,7 @@ def _is_k_colorable(g: Graph, k: int) -> bool:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact vertex chromatic number; clique and greedy bounds prune."""
+    """Exact vertex chromatic number: the least k that admits a coloring."""
     if g.n > CHROMATIC_CAP:
         raise SizeCapError(
             f"exact chromatic number caps n at {CHROMATIC_CAP}, got {g.n}"
@@ -192,9 +159,7 @@ def chromatic_number(g: Graph) -> int:
         return 0
     if g.m == 0:
         return 1
-    lower = _max_clique_bound(g)
-    upper = _greedy_coloring_bound(g)
-    for k in range(lower, upper):
-        if _is_k_colorable(g, k):
-            return k
-    return upper
+    k = 2
+    while not _is_k_colorable(g, k):
+        k += 1
+    return k

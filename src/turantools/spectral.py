@@ -50,7 +50,10 @@ class IntPoly:
 
 
 def _power_iteration(sub: np.ndarray, tol: float):
-    """Power iteration on A+I (the shift kills bipartite period-2)."""
+    """Power iteration on A+I (the shift kills bipartite period-2).
+
+    The returned vector is all ones or scaled to max exactly 1.0.
+    """
     nc = sub.shape[0]
     x = np.ones(nc)
     for sweep in range(1, ITERATION_CAP + 1):
@@ -98,7 +101,7 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
             best = (lam, comp, x, residual)
     lam, comp, x, residual = best
     full = np.zeros(g.n)
-    full[comp] = x / x.max()
+    full[comp] = x
     return SpectralResult(
         lam=lam,
         vector=tuple(full.tolist()),

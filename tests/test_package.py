@@ -1,6 +1,16 @@
-"""The package's export list."""
+"""The package's export list and its build script."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import turantools
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_star_import_binds_exactly_all():
@@ -12,3 +22,18 @@ def test_star_import_binds_exactly_all():
 
 def test_all_is_sorted():
     assert turantools.__all__ == sorted(turantools.__all__)
+
+
+def test_build_without_compiler_warns_and_succeeds(tmp_path):
+    # the extension is optional: the pure twin serves when it cannot build
+    pytest.importorskip("setuptools")
+    for name in ("setup.py", "pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, tmp_path)
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    proc = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "CC": "/nonexistent/cc"})
+    assert proc.returncode == 0, proc.stderr
+    assert 'building extension "turantools._core" failed' in proc.stdout + proc.stderr
+    assert not list(tmp_path.rglob("_core*.so"))

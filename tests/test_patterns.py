@@ -1,17 +1,21 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turantools.enumeration import generate
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    complete_multipartite,
     empty_graph,
+    from_graph6,
     path_graph,
     to_graph6,
 )
@@ -177,9 +181,35 @@ class TestChromatic:
                         return k
             return g.n
 
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(1, 6))
-            assert chromatic_number(g) == oracle(g)
+        graphs = [random_graph(rng, rng.randint(1, 6)) for _ in range(40)]
+        for g in graphs + list(generate(6, n_min=1)):
+            assert chromatic_number(g) == oracle(g), to_graph6(g)
+
+    def test_pinned_at_the_cap(self):
+        # Graphs whose clique number (Grotzsch plus K1, C11 plus K1) or
+        # degree-ordered greedy coloring (the alternately labeled crown and
+        # the g6 graphs) misses chi, so neither bound may stand in for the
+        # exact search; values checked by inclusion-exclusion over the
+        # independent sets.
+        c5 = [(i, (i + 1) % 5) for i in range(5)]
+        grotzsch = Graph(11, c5 + [(5 + u, v) for u, v in c5] + [(5 + v, u) for u, v in c5]
+                         + [(10, 5 + i) for i in range(5)])
+        crown = Graph(12, [(2 * i, 2 * j + 1) for i in range(6) for j in range(6) if i != j])
+        cases = [
+            (complete_graph(12), 12),
+            (disjoint_union(grotzsch, empty_graph(1)), 4),
+            (disjoint_union(cycle_graph(11), empty_graph(1)), 3),
+            (complete_multipartite([4, 4, 4]), 3),
+            (crown, 2),
+            (from_graph6("K?@@y?d@??Q@"), 2),
+            (from_graph6("KcW\\?[zD{}DJ"), 4),
+            (from_graph6("Kf`rT}rwvxxr"), 5),
+            (from_graph6("K|[\\~~x~yzz~"), 7),
+        ]
+        start = time.perf_counter()
+        assert [chromatic_number(g) for g, _ in cases] == [chi for _, chi in cases]
+        # a few milliseconds on a desktop; an unpruned search takes far longer
+        assert time.perf_counter() - start < 2.0
 
 
 def test_is_free_matches_contains():
