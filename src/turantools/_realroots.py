@@ -140,7 +140,14 @@ def _sample_between(lo, hi):
 
 
 class LargestRoot:
-    """Shrinking isolating interval (lo, hi] for a poly's largest root."""
+    """Shrinking isolating interval (lo, hi] for a poly's largest root.
+
+    Each bisection step evaluates the Sturm chain once, at the sample
+    point.  ``hi`` only ever moves down to a point with no root above
+    it, so V(hi) stays the variation count ``vtop`` at the starting
+    ``hi`` and the roots in (x, hi] number V(x) - vtop; ``vlo`` is V(lo),
+    kept whenever ``lo`` moves.
+    """
 
     def __init__(self, coeffs):
         sf = square_free(coeffs)
@@ -151,7 +158,9 @@ class LargestRoot:
         b = root_bound(sf)
         self.lo = -b - Fraction(1, 3)
         self.hi = b + Fraction(1, 3)
-        if count_roots(self.chain, self.lo, self.hi) < 1:
+        self.vlo = _variations(self.chain, self.lo)
+        self.vtop = _variations(self.chain, self.hi)
+        if self.vlo - self.vtop < 1:
             raise ValueError("polynomial has no real roots")
 
     def width(self):
@@ -159,13 +168,14 @@ class LargestRoot:
 
     def step(self):
         mid = _sample_between(self.lo, self.hi)
-        if count_roots(self.chain, mid, self.hi) >= 1:
-            self.lo = mid
+        vmid = _variations(self.chain, mid)
+        if vmid - self.vtop >= 1:
+            self.lo, self.vlo = mid, vmid
         else:
             self.hi = mid
 
     def isolate(self):
-        while count_roots(self.chain, self.lo, self.hi) > 1:
+        while self.vlo - self.vtop > 1:
             self.step()
 
     def refine_to(self, width):
@@ -180,6 +190,8 @@ def compare_largest_roots(p, q) -> int:
     above that of q.  Exact: equality is certified through the gcd, an
     ordering through disjoint isolating intervals.
     """
+    if p == q:  # relabelled or cospectral graphs
+        return 0
     ip, iq = LargestRoot(p), LargestRoot(q)
     if ip.poly == iq.poly:
         return 0

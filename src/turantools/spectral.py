@@ -3,7 +3,8 @@
 Floating-point values come from shifted power iteration; anything that
 decides a comparison can be escalated to exact integer polynomial
 arithmetic (`compare_exact`), so argmax sets are never settled by
-float noise.
+float noise.  Characteristic polynomials are computed in int64, which
+`char_poly_exact` proves cannot overflow up to EXACT_CAP vertices.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .graphs import Graph, turan_parts
 MIN_TOL = 1e-14
 DEFAULT_TOL = 1e-10
 ITERATION_CAP = 10**6
-EXACT_CAP = 24  # big-integer characteristic polynomials
+EXACT_CAP = 24  # int64 characteristic polynomials; see char_poly_exact
 INTERVAL_WIDTH = Fraction(1e-12).limit_denominator(10**15)  # of certified intervals
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -116,23 +117,38 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 
 
 def char_poly_exact(g: Graph) -> IntPoly:
-    """det(xI - A) via the Faddeev-LeVerrier recursion in exact integers."""
+    """det(xI - A) via the Faddeev-LeVerrier recursion, exact in int64.
+
+    Step k forms M_k = A M_(k-1) + c_(k-1) I, the x^(n-k) coefficient
+    of adj(xI - A), and c_k = -tr(A M_k) / k.  No int64 product or
+    partial sum overflows for n <= EXACT_CAP = 24:
+
+    * In the eigenbasis, adj(xI - A) = sum_i prod_(j != i) (x - l_j)
+      v_i v_i^T, so by Cauchy-Schwarz on the orthonormal v_i every entry
+      of M_k is at most max_i |e_(k-1)(spectrum without l_i)|.
+    * Maclaurin on the absolute values, then the power mean with
+      sum l^2 = 2m, bound that by C(n-1, k-1) (2m/(n-1))^((k-1)/2),
+      at most 1.15e17 (K24); likewise |c_k| <= C(n, k) (2m/n)^(k/2),
+      at most 4.4e17.
+    * An entry of A M_k sums at most n - 1 = 23 entries of M_k, so every
+      partial sum of the product stays below 2.7e18 < 2^63.
+    * The diagonal of A M_k has n such entries, whose running sum has
+      no bound below 2^63, so the trace is summed in Python ints.
+
+    The largest |entry| seen on n = 24 probes is 1.5e10, found by
+    hill-climbing; the 4x6 rook's graph reaches 2.9e9.
+    """
     n = g.n
     if n > EXACT_CAP:
         raise SizeCapError(f"exact characteristic polynomial caps n at {EXACT_CAP}")
-    nbrs = [list(g.neighbors(u)) for u in range(n)]
+    a = (np.array(g.adj, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    m = np.zeros((n, n), dtype=np.int64)
+    d = np.arange(n)
     coeffs_high = [1]  # coefficient of x^n, then x^(n-1), ...
-    zero = [0] * n
-    m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        ck_prev = coeffs_high[-1]
-        for i in range(n):
-            m[i][i] += ck_prev
-        # row i of A*M is the sum of M's rows at i's neighbours; the zero
-        # row keeps an isolated vertex's row at length n
-        m = [list(map(sum, zip(zero, *(m[t] for t in nb)))) for nb in nbrs]
-        trace = sum(m[i][i] for i in range(n))
-        q, r = divmod(-trace, k)
+        m[d, d] += coeffs_high[-1]
+        m = a @ m
+        q, r = divmod(-sum(m[d, d].tolist()), k)
         assert r == 0, "Faddeev-LeVerrier trace division must be exact"
         coeffs_high.append(q)
     return IntPoly(tuple(reversed(coeffs_high)))

@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: labeled exhaustion, permutation
-brute force, Leibniz determinant expansion, dense eigensolves.  None of
-it shares code paths with the implementations under test.
+brute force, Leibniz determinant expansion, big-integer Faddeev-LeVerrier,
+dense eigensolves.  None of it shares code paths with the
+implementations under test.
 """
 
 from __future__ import annotations
@@ -146,6 +147,28 @@ def charpoly_leibniz(g: Graph) -> tuple[int, ...]:
 
     expand(0, tuple(range(n)), [1], 0)
     return tuple(coeffs)
+
+
+def charpoly_faddeev_bigint(g: Graph) -> tuple[int, ...]:
+    """det(xI - A) by the Faddeev-LeVerrier recursion in Python ints.
+
+    Row i of A*M is the sum of M's rows at i's neighbours; no entry can
+    overflow, so this is the reference for the fixed-width version.
+    """
+    n = g.n
+    nbrs = [list(g.neighbors(u)) for u in range(n)]
+    coeffs_high = [1]  # coefficient of x^n, then x^(n-1), ...
+    zero = [0] * n
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += coeffs_high[-1]
+        # the zero row keeps an isolated vertex's row at length n
+        m = [list(map(sum, zip(zero, *(m[t] for t in nb)))) for nb in nbrs]
+        q, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        assert r == 0
+        coeffs_high.append(q)
+    return tuple(reversed(coeffs_high))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

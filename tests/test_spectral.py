@@ -1,10 +1,15 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from turantools import _realroots
+from turantools._realroots import LargestRoot
+from turantools.enumeration import generate
 from turantools.errors import SizeCapError
 from turantools.graphs import (
     Graph,
@@ -30,7 +35,14 @@ from turantools.spectral import (
     turan_perron_closed,
 )
 
-from oracles import charpoly_leibniz, eig_max, perron_vector, random_connected_graph, random_graph
+from oracles import (
+    charpoly_faddeev_bigint,
+    charpoly_leibniz,
+    eig_max,
+    perron_vector,
+    random_connected_graph,
+    random_graph,
+)
 
 
 class TestSpectralRadius:
@@ -116,6 +128,20 @@ class TestCharPoly:
         for _ in range(80):
             g = random_graph(rng, rng.randint(1, 8))
             assert char_poly_exact(g).coeffs == charpoly_leibniz(g)
+
+    def test_versus_bigint_faddeev_oracle(self):
+        # the 4x6 rook's graph has entries near 2.9e9, so int32 overflows it
+        rook = Graph(24, [(u, v) for u, v in combinations(range(24), 2)
+                          if (u // 6 == v // 6) != (u % 6 == v % 6)])
+        graphs = [rook, Graph(24, rook.non_edges()), complete_graph(24)]
+        for r in range(2, 25):
+            t = turan_graph(24, r)
+            graphs += [t, Graph(24, t.non_edges())]
+        rng = random.Random(15)
+        graphs += [random_graph(rng, 24, p / 10) for p in range(1, 10)]
+        graphs += [g for n in range(1, 7) for g in generate(n)]
+        for g in graphs:
+            assert char_poly_exact(g).coeffs == charpoly_faddeev_bigint(g)
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
@@ -267,6 +293,44 @@ class TestCompareExact:
             perm = list(range(24))
             rng.shuffle(perm)
             assert compare_exact(g, g.relabel(perm)) == EQUAL
+
+    def test_one_sturm_evaluation_per_bisection_step(self, monkeypatch):
+        evaluations, steps, roots = Counter(), Counter(), []
+        variations, step, init = _realroots._variations, LargestRoot.step, LargestRoot.__init__
+
+        def spy_variations(chain, x):
+            evaluations[id(chain)] += 1
+            return variations(chain, x)
+
+        def spy_step(self):
+            steps[id(self)] += 1
+            step(self)
+
+        def spy_init(self, coeffs):
+            roots.append(self)
+            init(self, coeffs)
+
+        monkeypatch.setattr(_realroots, "_variations", spy_variations)
+        monkeypatch.setattr(LargestRoot, "step", spy_step)
+        monkeypatch.setattr(LargestRoot, "__init__", spy_init)
+        t = turan_graph(20, 3)
+        for run in (
+            lambda: certified_radius_interval(t),
+            lambda: compare_exact(t, t.with_edge(0, 1)),
+        ):
+            evaluations.clear()
+            steps.clear()
+            roots.clear()
+            run()
+            assert roots
+            for root in roots:
+                # two at construction (lo and the top), then one per step
+                assert steps[id(root)] > 0
+                assert evaluations[id(root.chain)] == 2 + steps[id(root)]
+        # equal characteristic polynomials are equal before any Sturm work
+        roots.clear()
+        assert compare_exact(t, t.relabel(range(19, -1, -1))) == EQUAL
+        assert roots == []
 
     def test_certified_interval(self):
         lo, hi = certified_radius_interval(cycle_graph(5))
