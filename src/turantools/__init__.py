@@ -45,7 +45,6 @@ from .spectral import (
     EQUAL,
     GREATER,
     LESS,
-    IntPoly,
     SpectralResult,
     char_poly_exact,
     compare_exact,
@@ -73,7 +72,6 @@ __all__ = [
     "ForbiddenSpec",
     "GREATER",
     "Graph",
-    "IntPoly",
     "KERNEL_BACKEND",
     "LESS",
     "PartitionReport",

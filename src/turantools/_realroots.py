@@ -1,10 +1,10 @@
 """Exact largest-root isolation and comparison for integer polynomials.
 
-Polynomials are lists of integer coefficients, lowest degree first, and
-all polynomial arithmetic stays in the integers: division is
-pseudo-division and a sign test at a rational point clears its
-denominator.  ``Fraction`` appears only in sample points and interval
-endpoints.
+Polynomials are sequences of integer coefficients, lowest degree first
+(returned as lists), and all polynomial arithmetic stays in the
+integers: division is pseudo-division and a sign test at a rational
+point clears its denominator.  ``Fraction`` appears only in sample
+points and interval endpoints.
 
 Everything here assumes the inputs are characteristic polynomials of
 symmetric integer matrices: all roots are real algebraic integers.  That
@@ -16,6 +16,11 @@ square-free polynomial of degree d with d real roots has a full Sturm
 sequence (degrees d, d-1, ..., 0) whose leads are all positive, since
 its sign variations at +inf and -inf differ by d.  So the flip never
 fires on the chains built here.
+
+Equality of two largest roots has a one-shot certificate.  Once each
+interval (lo, hi] isolates its polynomial's largest root, the roots are
+equal iff the gcd of the square-free parts has a root in both
+intervals, which two Sturm counts on the gcd's chain decide.
 """
 
 from __future__ import annotations
@@ -140,13 +145,15 @@ def _sample_between(lo, hi):
 
 
 class LargestRoot:
-    """Shrinking isolating interval (lo, hi] for a poly's largest root.
+    """Isolating interval (lo, hi] for a poly's largest root.
 
-    Each bisection step evaluates the Sturm chain once, at the sample
-    point.  ``hi`` only ever moves down to a point with no root above
-    it, so V(hi) stays the variation count ``vtop`` at the starting
-    ``hi`` and the roots in (x, hi] number V(x) - vtop; ``vlo`` is V(lo),
-    kept whenever ``lo`` moves.
+    Construction bisects until (lo, hi] holds exactly one root of the
+    square-free part ``poly``, which is then its largest root; every
+    later step keeps that.  Each bisection step evaluates the Sturm
+    chain once, at the sample point.  ``hi`` only ever moves down to a
+    point with no root above it, so V(hi) stays the variation count
+    ``vtop`` at the starting ``hi`` and the roots in (x, hi] number
+    V(x) - vtop; ``vlo`` is V(lo), kept whenever ``lo`` moves.
     """
 
     def __init__(self, coeffs):
@@ -162,6 +169,8 @@ class LargestRoot:
         self.vtop = _variations(self.chain, self.hi)
         if self.vlo - self.vtop < 1:
             raise ValueError("polynomial has no real roots")
+        while self.vlo - self.vtop > 1:
+            self.step()
 
     def width(self):
         return self.hi - self.lo
@@ -174,12 +183,7 @@ class LargestRoot:
         else:
             self.hi = mid
 
-    def isolate(self):
-        while self.vlo - self.vtop > 1:
-            self.step()
-
     def refine_to(self, width):
-        self.isolate()
         while self.width() > width:
             self.step()
         return self.lo, self.hi
@@ -187,32 +191,23 @@ class LargestRoot:
 
 def compare_largest_roots(p, q) -> int:
     """-1, 0, or 1 as the largest real root of p is below, equal to, or
-    above that of q.  Exact: equality is certified through the gcd, an
-    ordering through disjoint isolating intervals.
+    above that of q.
+
+    Exact.  Each isolating interval holds one root of its square-free
+    polynomial, the largest, so the two largest roots are equal iff
+    g = gcd has a root in both intervals: a root of g in p's interval
+    is p's largest root and a root of q, so it is at most q's largest
+    root, and symmetrically.  Otherwise the wider interval is bisected
+    until the two are disjoint.
     """
     if p == q:  # relabelled or cospectral graphs
         return 0
     ip, iq = LargestRoot(p), LargestRoot(q)
     if ip.poly == iq.poly:
         return 0
-    ip.isolate()
-    iq.isolate()
-    g = poly_gcd(ip.poly, iq.poly)
-    may_share = len(g) > 1
-    gchain = sturm_chain(g) if may_share else None
-    while True:
-        if ip.hi <= iq.lo:
-            return -1
-        if iq.hi <= ip.lo:
-            return 1
-        if may_share:
-            a = max(ip.lo, iq.lo)
-            b = min(ip.hi, iq.hi)
-            if a < b and count_roots(gchain, a, b) >= 1:
-                # the shared root sits in both isolating intervals, so it
-                # is the largest root of each
-                return 0
-        if ip.width() >= iq.width():
-            ip.step()
-        else:
-            iq.step()
+    g = sturm_chain(poly_gcd(ip.poly, iq.poly))
+    if count_roots(g, ip.lo, ip.hi) and count_roots(g, iq.lo, iq.hi):
+        return 0
+    while ip.lo < iq.hi and iq.lo < ip.hi:
+        (ip if ip.width() >= iq.width() else iq).step()
+    return -1 if ip.hi <= iq.lo else 1

@@ -249,7 +249,7 @@ def _cmd_secular(args) -> int:
     lam = secular_lambda(parts)
     poly = multipartite_char_poly(parts)
     print(f"lambda {_fmt(lam)}")
-    print("charpoly " + " ".join(str(c) for c in poly.coeffs))
+    print("charpoly " + " ".join(str(c) for c in poly))
     return EXIT_OK
 
 

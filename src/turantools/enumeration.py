@@ -94,15 +94,15 @@ def ingest(
     """Stream graphs from a newline-delimited graph6 file.
 
     Lines may end in LF, CRLF or a lone CR.  Malformed lines raise
-    ParseError carrying the 1-based line number; ``dedupe`` keeps one
-    representative per isomorphism class.
+    ParseError carrying the 1-based line number and the byte offset
+    from the start of the line; ``dedupe`` keeps one representative
+    per isomorphism class.
     """
     seen: set | None = set() if dedupe else None
     # surrogateescape turns each non-ASCII byte into one character
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
             if not line.isascii():
                 offset = next(i for i, ch in enumerate(line) if not ch.isascii())

@@ -244,33 +244,33 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(s: str) -> Graph:
-    """Decode a graph6 string; raises ParseError with a byte offset."""
-    s = s.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :]
-    if not s:
-        raise ParseError("empty graph6 string", offset=0)
-    pos = 0
-    code = ord(s[0])
+    """Decode a graph6 string; raises ParseError with a byte offset into s."""
+    end = len(s.rstrip())
+    pos = len(s) - len(s.lstrip())
+    if s.startswith(">>graph6<<", pos):
+        pos += len(">>graph6<<")
+    if pos >= end:
+        raise ParseError("empty graph6 string", offset=pos)
+    code = ord(s[pos])
     if code == 126:  # '~': long form
-        if len(s) >= 2 and ord(s[1]) == 126:
-            raise ParseError("graph6 8-byte order not supported", offset=0)
-        if len(s) < 4:
-            raise ParseError("truncated graph6 long-form header", offset=len(s))
+        if end - pos >= 2 and ord(s[pos + 1]) == 126:
+            raise ParseError("graph6 8-byte order not supported", offset=pos)
+        if end - pos < 4:
+            raise ParseError("truncated graph6 long-form header", offset=end)
         n = 0
-        for i in range(1, 4):
+        for i in range(pos + 1, pos + 4):
             c = ord(s[i]) - 63
             if not 0 <= c <= 63:
                 raise ParseError(f"invalid graph6 byte {s[i]!r}", offset=i)
             n = (n << 6) | c
-        pos = 4
+        pos += 4
     else:
         n = code - 63
         if not 0 <= n <= 62:
-            raise ParseError(f"invalid graph6 header byte {s[0]!r}", offset=0)
-        pos = 1
+            raise ParseError(f"invalid graph6 header byte {s[pos]!r}", offset=pos)
+        pos += 1
     nbits = n * (n - 1) // 2
-    body = s[pos:]
+    body = s[pos:end]
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise ParseError(

@@ -43,13 +43,6 @@ class SpectralResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial, coefficients lowest degree first."""
-
-    coeffs: tuple[int, ...]
-
-
 def _power_iteration(sub: np.ndarray, tol: float):
     """Power iteration on A+I (the shift kills bipartite period-2).
 
@@ -116,8 +109,10 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 # ---------------------------------------------------------------------------
 
 
-def char_poly_exact(g: Graph) -> IntPoly:
+def char_poly_exact(g: Graph) -> tuple[int, ...]:
     """det(xI - A) via the Faddeev-LeVerrier recursion, exact in int64.
+
+    Returns the integer coefficients, lowest degree first.
 
     Step k forms M_k = A M_(k-1) + c_(k-1) I, the x^(n-k) coefficient
     of adj(xI - A), and c_k = -tr(A M_k) / k.  No int64 product or
@@ -151,7 +146,7 @@ def char_poly_exact(g: Graph) -> IntPoly:
         q, r = divmod(-sum(m[d, d].tolist()), k)
         assert r == 0, "Faddeev-LeVerrier trace division must be exact"
         coeffs_high.append(q)
-    return IntPoly(tuple(reversed(coeffs_high)))
+    return tuple(reversed(coeffs_high))
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -164,11 +159,12 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def multipartite_char_poly(parts: Sequence[int]) -> IntPoly:
+def multipartite_char_poly(parts: Sequence[int]) -> tuple[int, ...]:
     """Characteristic polynomial of the complete multipartite graph.
 
     Expands x^(n-r) * (prod_j (x+n_j) - sum_i n_i * prod_{j!=i} (x+n_j))
-    with exact integers into the monic degree-n polynomial.
+    with exact integers into the monic degree-n polynomial, returned as
+    its coefficients, lowest degree first.
     """
     parts = list(parts)
     if not parts or any(p <= 0 for p in parts):
@@ -184,8 +180,7 @@ def multipartite_char_poly(parts: Sequence[int]) -> IntPoly:
             if j != i:
                 rest = _poly_mul(rest, [q, 1])
         acc = [c - p * d for c, d in zip(acc, rest + [0] * (len(acc) - len(rest)))]
-    coeffs = [0] * (n - r) + acc
-    return IntPoly(tuple(coeffs))
+    return tuple([0] * (n - r) + acc)
 
 
 def secular_lambda(parts: Sequence[int]) -> float:
@@ -225,24 +220,23 @@ def secular_lambda(parts: Sequence[int]) -> float:
 def compare_exact(g1: Graph, g2: Graph) -> int:
     """Order the exact spectral radii: LESS, EQUAL, or GREATER.
 
-    Works on the integer characteristic polynomials with rational
-    Sturm bisection; equality is certified via their gcd, never
-    declared from floats.
+    Works on the integer characteristic polynomials, never on floats.
+    Each largest root is isolated by rational Sturm bisection; EQUAL is
+    certified once, by the gcd of the square-free parts having a root
+    in both isolating intervals, and an order by bisecting the wider
+    interval until the two are disjoint.
     """
     for g in (g1, g2):
         if g.n == 0:
             raise ValueError("graphs must have at least one vertex")
-    p1 = list(char_poly_exact(g1).coeffs)
-    p2 = list(char_poly_exact(g2).coeffs)
-    return _realroots.compare_largest_roots(p1, p2)
+    return _realroots.compare_largest_roots(char_poly_exact(g1), char_poly_exact(g2))
 
 
 def certified_radius_interval(g: Graph) -> tuple[Fraction, Fraction]:
     """Rational interval (lo, hi] of at most INTERVAL_WIDTH containing lambda."""
     if g.n == 0:
         raise ValueError("graphs must have at least one vertex")
-    poly = list(char_poly_exact(g).coeffs)
-    return _realroots.LargestRoot(poly).refine_to(INTERVAL_WIDTH)
+    return _realroots.LargestRoot(char_poly_exact(g)).refine_to(INTERVAL_WIDTH)
 
 
 def turan_perron_closed(n: int, r: int) -> tuple[float, float, float]:

@@ -153,6 +153,11 @@ class TestIngest:
             list(ingest(path))
         assert (err.value.line, err.value.offset) == (3, 2)
         assert str(err.value).endswith("got 2 (line 3, byte 2)")
+        # offsets count from the start of the line, not of its stripped text
+        path.write_text("D??\n  D~\x05\n")
+        with pytest.raises(ParseError) as err:
+            list(ingest(path))
+        assert (err.value.line, err.value.offset) == (2, 4)
 
     def test_non_ascii_line_reports_number(self, tmp_path):
         path = tmp_path / "graphs.g6"
@@ -160,6 +165,10 @@ class TestIngest:
         with pytest.raises(ParseError) as err:
             list(ingest(path))
         assert err.value.line == 2 and "line 2" in str(err.value)
+        path.write_bytes(b"D??\n  D~{\xe9\n")
+        with pytest.raises(ParseError) as err:
+            list(ingest(path))
+        assert (err.value.line, err.value.offset) == (2, 5)
 
     @pytest.mark.parametrize("end", [b"\r", b"\r\n"])
     def test_line_endings_read_like_newlines(self, tmp_path, end):
@@ -176,7 +185,7 @@ class TestIngest:
         path.write_bytes(b"D??\r\r C\xff\r")
         with pytest.raises(ParseError) as err:
             list(ingest(path))
-        assert (err.value.line, err.value.offset) == (3, 1)
+        assert (err.value.line, err.value.offset) == (3, 2)
 
     def test_round_trip_with_generate(self, tmp_path):
         path = tmp_path / "graphs.g6"

@@ -146,13 +146,26 @@ class TestGraph6:
         assert from_graph6(">>graph6<<D~{") == complete_graph(5)
 
     @pytest.mark.parametrize(
-        "bad",
-        ["", "D~", "D~{{", "~??", chr(30) + "??", "D~" + chr(5)],
+        "bad,offset",
+        [
+            ("", 0),
+            ("D~", 2),
+            ("D~{{", 3),
+            ("~??", 3),
+            (chr(30) + "??", 2),  # str.strip counts chr(30) as whitespace
+            ("D~" + chr(5), 2),
+            # counted from the argument, not from the stripped body
+            (">>graph6<<D~" + chr(5), 12),
+            ("  D~" + chr(5), 4),
+            (" >>graph6<<~?" + chr(5) + "?", 13),
+            ("   ", 3),
+        ],
     )
-    def test_parse_errors_carry_offsets(self, bad):
+    def test_parse_errors_carry_offsets(self, bad, offset):
         with pytest.raises(ParseError) as err:
             from_graph6(bad)
-        assert "byte" in str(err.value)
+        assert err.value.offset == offset
+        assert str(err.value).endswith(f"(byte {offset})")
 
 
 class TestCanonicalForm:

@@ -110,14 +110,14 @@ class TestSpectralRadius:
 
 class TestCharPoly:
     def test_known_polys(self):
-        assert char_poly_exact(path_graph(3)).coeffs == (0, -2, 0, 1)
-        assert char_poly_exact(complete_graph(3)).coeffs == (-2, -3, 0, 1)
+        assert char_poly_exact(path_graph(3)) == (0, -2, 0, 1)
+        assert char_poly_exact(complete_graph(3)) == (-2, -3, 0, 1)
 
     def test_monic_trace_edges_structure(self):
         rng = random.Random(4)
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 8))
-            p = char_poly_exact(g).coeffs
+            p = char_poly_exact(g)
             assert p[-1] == 1
             assert p[g.n - 1] == 0 if g.n >= 1 else True
             if g.n >= 2:
@@ -127,7 +127,7 @@ class TestCharPoly:
         rng = random.Random(6)
         for _ in range(80):
             g = random_graph(rng, rng.randint(1, 8))
-            assert char_poly_exact(g).coeffs == charpoly_leibniz(g)
+            assert char_poly_exact(g) == charpoly_leibniz(g)
 
     def test_versus_bigint_faddeev_oracle(self):
         # the 4x6 rook's graph has entries near 2.9e9, so int32 overflows it
@@ -141,7 +141,7 @@ class TestCharPoly:
         graphs += [random_graph(rng, 24, p / 10) for p in range(1, 10)]
         graphs += [g for n in range(1, 7) for g in generate(n)]
         for g in graphs:
-            assert char_poly_exact(g).coeffs == charpoly_faddeev_bigint(g)
+            assert char_poly_exact(g) == charpoly_faddeev_bigint(g)
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
@@ -155,19 +155,19 @@ class TestCharPoly:
 
 class TestMultipartitePoly:
     def test_examples(self):
-        assert multipartite_char_poly([1, 2]).coeffs == (0, -2, 0, 1)
-        assert multipartite_char_poly([1, 1, 1]).coeffs == (-2, -3, 0, 1)
+        assert multipartite_char_poly([1, 2]) == (0, -2, 0, 1)
+        assert multipartite_char_poly([1, 1, 1]) == (-2, -3, 0, 1)
         assert (
-            multipartite_char_poly([2, 2, 1]).coeffs
-            == char_poly_exact(complete_multipartite([2, 2, 1])).coeffs
+            multipartite_char_poly([2, 2, 1])
+            == char_poly_exact(complete_multipartite([2, 2, 1]))
         )
 
     def test_matches_construction_for_all_compositions(self):
         for total in range(1, 9):
             for parts in _compositions(total):
                 assert (
-                    multipartite_char_poly(parts).coeffs
-                    == char_poly_exact(complete_multipartite(parts)).coeffs
+                    multipartite_char_poly(parts)
+                    == char_poly_exact(complete_multipartite(parts))
                 )
 
     def test_rejects(self):
@@ -278,6 +278,31 @@ class TestCompareExact:
                 assert abs(gap) < 1e-8
             else:
                 assert verdict == (GREATER if gap > 0 else LESS)
+
+    def test_equality_is_certified_by_two_sturm_counts(self, monkeypatch):
+        calls = []
+        count_roots = _realroots.count_roots
+
+        def spy_count_roots(chain, lo, hi):
+            calls.append((lo, hi))
+            return count_roots(chain, lo, hi)
+
+        monkeypatch.setattr(_realroots, "count_roots", spy_count_roots)
+        t = turan_graph(20, 3)
+        k3, k4 = complete_graph(3), complete_graph(4)
+        for g, h, verdict in (
+            # T(20,3) and T(20,3) + e share many eigenvalues below their radii
+            (t, t.with_edge(0, 1), LESS),
+            (t.with_edge(0, 1), t, GREATER),
+            # lambda(K3) = 2 is a root of the gcd, but below lambda(K3 u K4) = 3
+            (k3, disjoint_union(k3, k4), LESS),
+            (disjoint_union(k3, k4), k3, GREATER),
+            # equal radii, different square-free parts: the gcd decides
+            (disjoint_union(k4, k3), k4, EQUAL),
+        ):
+            calls.clear()
+            assert compare_exact(g, h) == verdict
+            assert len(calls) <= 2
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
