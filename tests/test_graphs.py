@@ -145,23 +145,24 @@ class TestGraph6:
     def test_header_prefix_stripped(self):
         assert from_graph6(">>graph6<<D~{") == complete_graph(5)
 
-    @pytest.mark.parametrize(
-        "bad,offset",
-        [
-            ("", 0),
-            ("D~", 2),
-            ("D~{{", 3),
-            ("~??", 3),
-            (chr(30) + "??", 2),  # str.strip counts chr(30) as whitespace
-            ("D~" + chr(5), 2),
-            # counted from the argument, not from the stripped body
-            (">>graph6<<D~" + chr(5), 12),
-            ("  D~" + chr(5), 4),
-            (" >>graph6<<~?" + chr(5) + "?", 13),
-            ("   ", 3),
-        ],
-    )
-    def test_parse_errors_carry_offsets(self, bad, offset):
+    # Each bad argument with the byte offset its ParseError must report.
+    PARSE_ERROR_OFFSETS = {
+        "": 0,
+        "D~": 2,
+        "D~{{": 3,
+        "~??": 3,
+        chr(30) + "??": 2,  # str.strip counts chr(30) as whitespace
+        "D~" + chr(5): 2,
+        # counted from the argument, not from the stripped body
+        ">>graph6<<D~" + chr(5): 12,
+        "  D~" + chr(5): 4,
+        " >>graph6<<~?" + chr(5) + "?": 13,
+        "   ": 3,
+    }
+
+    @pytest.mark.parametrize("bad", list(PARSE_ERROR_OFFSETS))
+    def test_parse_errors_carry_offsets(self, bad):
+        offset = self.PARSE_ERROR_OFFSETS[bad]
         with pytest.raises(ParseError) as err:
             from_graph6(bad)
         assert err.value.offset == offset
