@@ -20,7 +20,6 @@ from .graphs import (
     CanonicalForm,
     Graph,
     canonical_form,
-    canonical_graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -78,7 +77,6 @@ __all__ = [
     "SpectralResult",
     "build_report",
     "canonical_form",
-    "canonical_graph",
     "char_poly_exact",
     "chromatic_number",
     "compare_exact",

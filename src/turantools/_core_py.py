@@ -228,10 +228,6 @@ def canonical_labeling(n, adj):
     onto an explored one, so these generate the whole group.
     """
     _check_args(n, n=n)
-    if n == 0:
-        return b"", (), ()
-    if n == 1:
-        return b"", (0,), (0,)
     return _CanonSearch(n, adj).run()
 
 

@@ -1,21 +1,21 @@
 """Isomorph-free graph generation via canonical augmentation, plus
 graph6 corpus ingestion.
 
-Graphs are grown one vertex at a time; a child class is kept only
-when some child in it has its new vertex in the automorphism orbit of
-its canonically-last vertex (McKay's rule), which holds iff deleting
-that vertex gives back the parent's class.  So each isomorphism class
-is produced exactly once with no cross-level bookkeeping.  Only
-subsets that give the new vertex the maximum degree are tried, since
-the canonically-last vertex always has the maximum degree and the
-orbit test fails on every other child, and only the least subset of
-each orbit under the parent's automorphisms, since the rest give
-isomorphic children with the same verdicts.  Pattern pruning cuts whole
-subtrees: containment is monotone under adding vertices and edges, so
-a child containing the forbidden graph can never lead to a free
-descendant.  Levels are sorted by canonical form, so classes come out
-by size and then by canonical form, and one walk serves every size up
-to the largest.
+Graphs are grown from the empty graph one vertex at a time; a child
+class is kept only when some child in it has its new vertex in the
+automorphism orbit of its canonically-last vertex (McKay's rule), which
+holds iff deleting that vertex gives back the parent's class.  So each
+isomorphism class is produced exactly once with no cross-level
+bookkeeping.  Only subsets that give the new vertex the maximum degree
+are tried, since the canonically-last vertex always has the maximum
+degree and the orbit test fails on every other child, and only the
+least subset of each orbit under the parent's automorphisms, since the
+rest give isomorphic children with the same verdicts.  Pattern pruning
+cuts whole subtrees: containment is monotone under adding vertices and
+edges, so a child containing the forbidden graph can never lead to a
+free descendant.  Levels are sorted by canonical form, so classes come
+out by size and then by canonical form, and one walk serves every size
+up to the largest.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterator
 
 from . import _kernels
 from .errors import ParseError, SizeCapError
-from .graphs import Graph, canonical_form, from_graph6
+from .graphs import _G6_SPACE, Graph, canonical_form, from_graph6
 from .patterns import ForbiddenSpec, is_free
 
 GENERATION_CAP = 10  # practical; the bitset kernels themselves allow 64
@@ -41,14 +41,11 @@ def _levels(n: int, prune: ForbiddenSpec | None, jobs: int) -> Iterator[list]:
     """Each level 1..n, sorted by canonical form, from one walk and one pool."""
     # a pattern larger than the last level never occurs, so it prunes nothing
     fn, fadj = (prune.graph.n, prune.graph.adj) if prune and prune.graph.n <= n else (0, ())
-    level = [((0,), b"")]  # K1: an empty packed triangle
-    if prune is not None and not is_free(Graph.from_adj((0,)), prune):
-        return
-    yield level
+    level = [((), b"")]  # the empty graph, root of the augmentation tree
     workers = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for size in range(1, n):
+        for size in range(n):
             tasks = [(size, adj, fn, fadj) for adj, _ in level]
             if pool is None:
                 batches = map(_expand_parent, tasks)
@@ -102,7 +99,7 @@ def ingest(
     # surrogateescape turns each non-ASCII byte into one character
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if not line.strip(_G6_SPACE):
                 continue
             if not line.isascii():
                 offset = next(i for i, ch in enumerate(line) if not ch.isascii())

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .enumeration import generate
 from .errors import NonConvergenceError
-from .graphs import Graph, canonical_graph, to_graph6, turan_parts
+from .graphs import Graph, canonical_form, to_graph6, turan_parts
 from .patterns import ForbiddenSpec, is_free
 from .spectral import DEFAULT_TOL, GREATER, LESS, compare_exact, spectral_radius
 
@@ -99,12 +99,12 @@ def _scan(graphs: Iterable[Graph]) -> tuple:
 
 
 def _canonical_sorted(graphs: list[Graph]) -> list[str]:
-    """Sorted canonical graph6 strings, one labeling per member.
+    """Sorted canonical graph6 strings, one canonical form per member.
 
     Equal strings mean isomorphic graphs.  For one n they sort as the
     packed canonical forms do: both hold the same bit string.
     """
-    return sorted(to_graph6(canonical_graph(g)) for g in graphs)
+    return sorted(canonical_form(g).graph6() for g in graphs)
 
 
 def _reference_note(spec: ForbiddenSpec) -> str | None:

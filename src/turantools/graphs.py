@@ -14,6 +14,7 @@ from . import _kernels
 from .errors import ParseError, SizeCapError
 
 BITSET_CAP = 64  # combinatorial kernels keep one machine word per row
+_G6_SPACE = " \t\r\n"  # graph6 bytes are 63..126; readers skip only these around them
 
 
 def _check_pair(n: int, u: int, v: int):
@@ -112,7 +113,7 @@ class Graph:
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.connected_components()) == 1
+        return len(self.connected_components()) <= 1
 
     # -- derived graphs ----------------------------------------------------
 
@@ -223,30 +224,27 @@ def _g6_encode_n(n: int) -> str:
     raise SizeCapError(f"graph6 encoding supports n <= 258047, got {n}")
 
 
+def _triangle_graph6(n: int, bits: str) -> str:
+    """graph6 of the n-vertex graph whose upper triangle, column-major
+    ((0,1), (0,2), (1,2), (0,3), ...), is the "0"/"1" string ``bits``:
+    6-bit groups, the last one padded with zeros."""
+    width = len(bits) + -len(bits) % 6
+    x = int(bits or "0", 2) << (width - len(bits))
+    body = "".join([chr(63 + ((x >> s) & 63)) for s in range(width - 6, -1, -6)])
+    return _g6_encode_n(n) + body
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 string (bit-exact, no trailing newline)."""
-    n = g.n
-    header = _g6_encode_n(n)
-    bits = []
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            bits.append((col >> u) & 1)
-    chars = []
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return header + "".join(chars)
+    # column v, read from row 0 down, is the low v bits of adj[v] reversed
+    bits = "".join([format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)])
+    return _triangle_graph6(g.n, bits)
 
 
 def from_graph6(s: str) -> Graph:
     """Decode a graph6 string; raises ParseError with a byte offset into s."""
-    end = len(s.rstrip())
-    pos = len(s) - len(s.lstrip())
+    end = len(s.rstrip(_G6_SPACE))
+    pos = len(s) - len(s.lstrip(_G6_SPACE))
     if s.startswith(">>graph6<<", pos):
         pos += len(">>graph6<<")
     if pos >= end:
@@ -308,6 +306,11 @@ class CanonicalForm:
     n: int
     bytes: bytes
 
+    def graph6(self) -> str:
+        """The class's canonical graph6 string: ``bytes`` packs its bits by eight."""
+        bits = "".join(format(b, "08b") for b in self.bytes)
+        return _triangle_graph6(self.n, bits[: self.n * (self.n - 1) // 2])
+
 
 def _check_bitset_cap(n: int):
     if n > BITSET_CAP:
@@ -318,13 +321,3 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``; equal exactly for isomorphic graphs."""
     _check_bitset_cap(g.n)
     return CanonicalForm(g.n, _kernels.canonical_bytes(g.n, g.adj))
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labeled representative of g's isomorphism class."""
-    _check_bitset_cap(g.n)
-    _, order, _ = _kernels.canonical_labeling(g.n, g.adj)
-    perm = [0] * g.n
-    for pos, v in enumerate(order):
-        perm[v] = pos
-    return g.relabel(perm)

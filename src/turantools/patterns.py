@@ -155,11 +155,7 @@ def chromatic_number(g: Graph) -> int:
         raise SizeCapError(
             f"exact chromatic number caps n at {CHROMATIC_CAP}, got {g.n}"
         )
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    k = 2
+    k = 0
     while not _is_k_colorable(g, k):
         k += 1
     return k

@@ -65,6 +65,14 @@ def _power_iteration(sub: np.ndarray, tol: float):
     )
 
 
+def _adjacency_matrix(g: Graph, dtype) -> np.ndarray:
+    """The 0/1 adjacency matrix of g, for any n (rows may pass 64 bits)."""
+    width = (g.n + 7) // 8
+    raw = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj), np.uint8)
+    bits = np.unpackbits(raw.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
+    return bits.astype(dtype)
+
+
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue with a max-1 Perron vector.
 
@@ -76,20 +84,11 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
         raise ValueError(f"tol must be finite and >= {MIN_TOL}, got {tol}")
     if g.n == 0:
         raise ValueError("spectral radius of the empty graph is undefined")
+    a = _adjacency_matrix(g, float)
     best = None  # (lam, comp, x, residual)
     total_sweeps = 0
     for comp in g.connected_components():
-        nc = len(comp)
-        sub = np.zeros((nc, nc))
-        index = {v: i for i, v in enumerate(comp)}
-        for v in comp:
-            row = g.adj[v]
-            while row:
-                u = (row & -row).bit_length() - 1
-                row &= row - 1
-                if u in index:
-                    sub[index[v], index[u]] = 1.0
-        lam, x, residual, sweeps = _power_iteration(sub, tol)
+        lam, x, residual, sweeps = _power_iteration(a[np.ix_(comp, comp)], tol)
         total_sweeps += sweeps
         if best is None or lam > best[0]:
             best = (lam, comp, x, residual)
@@ -136,7 +135,7 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     n = g.n
     if n > EXACT_CAP:
         raise SizeCapError(f"exact characteristic polynomial caps n at {EXACT_CAP}")
-    a = (np.array(g.adj, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    a = _adjacency_matrix(g, np.int64)
     m = np.zeros((n, n), dtype=np.int64)
     d = np.arange(n)
     coeffs_high = [1]  # coefficient of x^n, then x^(n-1), ...
@@ -196,8 +195,6 @@ def secular_lambda(parts: Sequence[int]) -> float:
     parts = list(parts)
     if not parts or any(p <= 0 for p in parts):
         raise ValueError(f"part sizes must be positive, got {parts}")
-    if len(parts) == 1:
-        return 0.0
     n = sum(parts)
     lo = float(n - max(parts))  # minimum degree
     hi = float(n - min(parts))  # maximum degree

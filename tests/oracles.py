@@ -171,6 +171,45 @@ def charpoly_faddeev_bigint(g: Graph) -> tuple[int, ...]:
     return tuple(reversed(coeffs_high))
 
 
+def to_graph6_bitwise(g: Graph) -> str:
+    """graph6 by appending one bit per pair and regrouping them by six."""
+    n = g.n
+    if n <= 62:
+        header = chr(n + 63)
+    else:
+        header = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    bits = []
+    for v in range(1, n):
+        col = g.adj[v]
+        for u in range(v):
+            bits.append((col >> u) & 1)
+    chars = []
+    for i in range(0, len(bits), 6):
+        group = bits[i : i + 6]
+        group += [0] * (6 - len(group))
+        val = 0
+        for b in group:
+            val = (val << 1) | b
+        chars.append(chr(val + 63))
+    return header + "".join(chars)
+
+
+def canonical_graph6_relabeled(g: Graph) -> str:
+    """Canonical graph6 by labeling g, relabeling it and encoding the copy.
+
+    This route shares the canonical search with ``canonical_form``, so it
+    checks how the form becomes a string; the search itself is checked
+    against permutation brute force in the graph tests.
+    """
+    from turantools import _kernels
+
+    _, order, _ = _kernels.canonical_labeling(g.n, g.adj)
+    perm = [0] * g.n
+    for pos, v in enumerate(order):
+        perm[v] = pos
+    return to_graph6_bitwise(g.relabel(perm))
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for u, v in g.edges():

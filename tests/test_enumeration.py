@@ -158,6 +158,13 @@ class TestIngest:
         with pytest.raises(ParseError) as err:
             list(ingest(path))
         assert (err.value.line, err.value.offset) == (2, 4)
+        # a blank line holds only spaces, tabs and line ends: chr(28) is
+        # a bad header byte
+        path.write_text("D??\n \t\n\x1c\nD??\n")
+        with pytest.raises(ParseError) as err:
+            list(ingest(path))
+        assert (err.value.line, err.value.offset) == (3, 0)
+        assert "invalid graph6 header byte" in str(err.value)
 
     def test_non_ascii_line_reports_number(self, tmp_path):
         path = tmp_path / "graphs.g6"

@@ -1,10 +1,11 @@
+import hashlib
 import math
 from itertools import groupby
 from operator import attrgetter
 
 import pytest
 
-from turantools import _kernels, extremal, spectral
+from turantools import _kernels, cli, enumeration, extremal, graphs, patterns, spectral
 from turantools.enumeration import GENERATION_CAP, generate
 from turantools.errors import NonConvergenceError, SizeCapError
 from turantools.extremal import (
@@ -15,12 +16,10 @@ from turantools.extremal import (
 )
 from turantools.graphs import (
     canonical_form,
-    canonical_graph,
     complete_multipartite,
     cycle_graph,
     from_graph6,
     path_graph,
-    to_graph6,
     turan_graph,
     turan_parts,
 )
@@ -33,7 +32,7 @@ from turantools.spectral import (
     spectral_radius,
 )
 
-from oracles import max_edges_labeled
+from oracles import canonical_graph6_relabeled, max_edges_labeled
 
 K3 = parse_forbidden("K3")
 K4 = parse_forbidden("K4")
@@ -153,14 +152,16 @@ class TestSpectralEx:
 
 class TestReports:
     def test_canonical_graph6_sorts_as_canonical_forms(self):
-        # one labeling per member: sorting the canonical graph6 strings
-        # must give the order of the packed forms
+        # one canonical form per member: sorting the canonical graph6
+        # strings must give the order of the packed forms, each string
+        # the one the label-and-relabel route gives, decoding to a member
         for n, level in groupby(generate(7, n_min=1), key=attrgetter("n")):
             level = list(level)
             by_form = sorted(level, key=lambda g: canonical_form(g).bytes)
-            assert extremal._canonical_sorted(level) == [
-                to_graph6(canonical_graph(g)) for g in by_form
-            ], n
+            strings = extremal._canonical_sorted(level)
+            assert strings == [canonical_graph6_relabeled(g) for g in by_form], n
+            for g, s in zip(by_form, strings):
+                assert canonical_form(from_graph6(s)) == canonical_form(g)
 
     def test_report_fields(self):
         rep = build_report(6, K3)
@@ -211,6 +212,39 @@ class TestReports:
         assert [r.excess for r in reports] == [0] * 6
 
 
+class TestPinnedReports:
+    @pytest.mark.parametrize(
+        "backend,argv,digest",
+        [
+            (twin, argv, digest)
+            for argv, digest in [
+                (["verify", "--forbid", "F2", "--n-min", "5", "--n-max", "7", "--json"],
+                 "6393d2ecb6b9975f19052267177a4b902af75dd3b70964c0ad1b8c97e170577b"),
+                (["verify", "--forbid", "K3", "--n-min", "3", "--n-max", "7"],
+                 "be2c62e846e8253dbc1e0db23809ed2e8f7ad06d19bf100b21217bdcec8071dd"),
+                (["extremal", "--n", "5", "--forbid", "g6:Ch"],
+                 "6a1c12778cac078b0cedc8604478ae525950ea4d4794d673d57577da4816233e"),
+            ]
+            for twin in ("python", "c")
+        ] + [
+            # compiled only, to keep the suite short
+            ("c", ["extremal", "--n", "8", "--forbid", "g6:Dhc", "--json"],
+             "5669381ccc7c421ddff993acf0ddbb64865ec2a93980eb69a7a0f33765b2dd05"),
+        ],
+        ids=["python-F2-5-7", "c-F2-5-7", "python-K3-3-7", "c-K3-3-7",
+             "python-Ch-5", "c-Ch-5", "c-Dhc-8"],
+        indirect=["backend"],
+    )
+    def test_report_output_is_pinned(self, backend, monkeypatch, capsys, argv, digest):
+        # the walk, the containment tests and the canonical strings all
+        # run on the given twin; the digests cover the lambda_star digits,
+        # which come from numpy's float products
+        for module in (enumeration, graphs, patterns):
+            monkeypatch.setattr(module, "_kernels", backend)
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
 @pytest.fixture
 def augment_calls(monkeypatch):
     """Count calls of the augmentation kernel."""
@@ -226,10 +260,10 @@ def augment_calls(monkeypatch):
 
 
 class TestOneWalk:
-    # a walk to n expands each class on 1..n-1 vertices once
+    # a walk to n expands the empty graph and each class on 1..n-1 vertices once
     @pytest.mark.parametrize(
         "spec,n_min,n_max,parents",
-        [(F2, 5, 6, 1 + 2 + 4 + 11 + 28), (K3, 3, 7, 1 + 2 + 3 + 7 + 14 + 38)],
+        [(F2, 5, 6, 1 + 1 + 2 + 4 + 11 + 28), (K3, 3, 7, 1 + 1 + 2 + 3 + 7 + 14 + 38)],
         ids=["F2-5-6", "K3-3-7"],
     )
     def test_verify_expands_each_parent_once(self, augment_calls, spec, n_min, n_max, parents):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turantools.enumeration import generate
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import (
     CanonicalForm,
     Graph,
     canonical_form,
-    canonical_graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -24,7 +24,7 @@ from turantools.graphs import (
     turan_parts,
 )
 
-from oracles import all_labeled_graphs, brute_isomorphic, random_graph
+from oracles import all_labeled_graphs, brute_isomorphic, random_graph, to_graph6_bitwise
 
 
 def _graphs(draw_n=st.integers(0, 8)):
@@ -74,6 +74,7 @@ class TestGraphBasics:
         assert g.connected_components() == [[0, 1, 2], [3, 4]]
         assert not g.is_connected()
         assert cycle_graph(5).is_connected()
+        assert Graph(0).is_connected() and Graph(1).is_connected()
 
 
 class TestBuilders:
@@ -142,6 +143,15 @@ class TestGraph6:
         assert not s.startswith("~")
         assert from_graph6(s) == g
 
+    def test_matches_the_bitwise_encoder(self):
+        # every class on up to 8 vertices, then a seeded corpus up to n = 70
+        for g in generate(8, n_min=1):
+            assert to_graph6(g) == to_graph6_bitwise(g)
+        rng = random.Random(70)
+        for n in list(range(71)) + [rng.randint(1, 70) for _ in range(100)]:
+            g = random_graph(rng, n, p=rng.choice([0.1, 0.5, 0.9]))
+            assert to_graph6(g) == to_graph6_bitwise(g), n
+
     def test_header_prefix_stripped(self):
         assert from_graph6(">>graph6<<D~{") == complete_graph(5)
 
@@ -151,7 +161,9 @@ class TestGraph6:
         "D~": 2,
         "D~{{": 3,
         "~??": 3,
-        chr(30) + "??": 2,  # str.strip counts chr(30) as whitespace
+        chr(30) + "??": 0,  # only space, tab, CR and LF are skipped
+        chr(11) + "A_": 0,
+        "A_" + chr(28): 2,
         "D~" + chr(5): 2,
         # counted from the argument, not from the stripped body
         ">>graph6<<D~" + chr(5): 12,
@@ -203,13 +215,17 @@ class TestCanonicalForm:
             assert not brute_isomorphic(ga, gb)
 
     def test_canonical_graph_is_member_of_class(self):
+        # the canonical string decodes to a member of g's class, whose
+        # own canonical string is the same
         rng = random.Random(9)
         for _ in range(50):
-            g = random_graph(rng, rng.randint(1, 8))
-            cg = canonical_graph(g)
+            g = random_graph(rng, rng.randint(0, 8))
+            s = canonical_form(g).graph6()
+            cg = from_graph6(s)
             if g.n <= 7:
                 assert brute_isomorphic(g, cg)
             assert canonical_form(cg) == canonical_form(g)
+            assert canonical_form(cg).graph6() == s
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):

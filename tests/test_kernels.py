@@ -205,6 +205,11 @@ def test_augment_parity(core):
             assert core.augment_children(g.n, g.adj, fn, fadj) == _core_py.augment_children(
                 g.n, g.adj, fn, fadj
             ), (g, fn)
+    # the empty parent, the root of the walk: K1, unless a one-vertex
+    # pattern forbids every vertex
+    for fn, fadj, children in [(0, (), [((0,), b"")]), (1, (0,), [])]:
+        assert core.augment_children(0, (), fn, fadj) == children
+        assert _core_py.augment_children(0, (), fn, fadj) == children
 
 
 @pytest.mark.parametrize("n", [24, 40])

@@ -63,6 +63,12 @@ class TestSpectralRadius:
         assert res.vector[3] == res.vector[4] == 0.0
         assert max(res.vector) == 1.0
 
+    def test_more_vertices_than_a_machine_word(self):
+        # 75 vertices: rows past 64 bits still give the 0/1 matrix
+        res = spectral_radius(disjoint_union(complete_graph(5), cycle_graph(70)))
+        assert res.lam == 4.0
+        assert res.vector == (1.0,) * 5 + (0.0,) * 70
+
     def test_single_vertex_and_empty_graph(self):
         assert spectral_radius(Graph(1)).lam == 0.0
         assert spectral_radius(empty_graph(4)).lam == 0.0
