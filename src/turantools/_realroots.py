@@ -3,19 +3,31 @@
 Polynomials are sequences of integer coefficients, lowest degree first
 (returned as lists), and all polynomial arithmetic stays in the
 integers: division is pseudo-division and a sign test at a rational
-point clears its denominator.  ``Fraction`` appears only in sample
-points and interval endpoints.
+point num/den evaluates den**deg * p(num/den).  The bisection keeps its
+endpoints as integer numerators over one shared denominator;
+``Fraction`` appears only in the endpoints handed out.
 
 Everything here assumes the inputs are characteristic polynomials of
 symmetric integer matrices: all roots are real algebraic integers.  That
 gives one very convenient fact (a rational sample point that is not an
-integer can never be a root) which lets the bisection pick Sturm
-evaluation points without ever landing on a root.  It also makes the
-positive lead that `primitive` forces on each Sturm remainder sound: a
-square-free polynomial of degree d with d real roots has a full Sturm
-sequence (degrees d, d-1, ..., 0) whose leads are all positive, since
-its sign variations at +inf and -inf differ by d.  So the flip never
-fires on the chains built here.
+integer can never be a root) which lets the bisection pick sample
+points without ever landing on a root.  It also makes the positive lead
+that `primitive` forces on each Sturm remainder sound: a square-free
+polynomial of degree d with d real roots has a full Sturm sequence
+(degrees d, d-1, ..., 0) whose leads are all positive, since its sign
+variations at +inf and -inf differ by d.  So the flip never fires on the
+chains built here.
+
+Because ``primitive(-r) == primitive(r)``, the Sturm chain of p is the
+remainder sequence that ``poly_gcd(p, p')`` walks, and it ends in that
+gcd.  One sequence therefore both tests p for repeated roots and, when
+it has none, is the chain the bisection counts roots with.
+
+Bisection needs the chain only until the interval isolates the largest
+root.  After that one sign of the square-free part decides each step:
+it is primitive with a positive lead and has a single simple root in
+(lo, hi], so at a sample point x there it is positive iff x lies above
+that root.
 
 Equality of two largest roots has a one-shot certificate.  Once each
 interval (lo, hi] isolates its polynomial's largest root, the roots are
@@ -78,20 +90,8 @@ def poly_gcd(a, b):
     return a
 
 
-def square_free(p):
-    """p with repeated roots collapsed to simple ones (primitive)."""
-    p = primitive(p)
-    if len(p) <= 2:
-        return p
-    g = poly_gcd(p, derivative(p))
-    if len(g) == 1:
-        return p
-    q, r = _pseudo_divmod(p, g)
-    assert not r, "square-free division must be exact"
-    return primitive(q)
-
-
 def sturm_chain(p):
+    """Sturm chain of p, ending in gcd(p, p') (see the module docstring)."""
     chain = [primitive(p)]
     d = primitive(derivative(p))
     if d:
@@ -104,23 +104,25 @@ def sturm_chain(p):
     return chain
 
 
-def _variations(chain, x):
-    """Sign changes along the chain at x, from p(num/den) * den**deg."""
-    num, den = x.numerator, x.denominator
-    signs = []
-    for p in chain:
-        acc, scale = 0, 1
-        for c in reversed(p):
-            acc = acc * num + c * scale
-            scale *= den
-        if acc:
-            signs.append(acc > 0)
+def _scaled_value(p, num, den):
+    """den**deg(p) * p(num/den): the sign of p at num/den for den > 0."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _variations(chain, num, den):
+    """Sign changes along the chain at num/den (den > 0)."""
+    signs = [v > 0 for v in (_scaled_value(p, num, den) for p in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_roots(chain, lo, hi):
     """Distinct real roots in (lo, hi]; endpoints must not be roots."""
-    return _variations(chain, lo) - _variations(chain, hi)
+    return (_variations(chain, lo.numerator, lo.denominator)
+            - _variations(chain, hi.numerator, hi.denominator))
 
 
 def root_bound(p):
@@ -129,62 +131,80 @@ def root_bound(p):
     return Fraction(max(map(abs, p[:-1]), default=0), abs(p[-1])) + 1
 
 
-def _sample_between(lo, hi):
-    """A rational in (lo, hi) that is not an integer.
-
-    Valid sample point because the roots handled here are algebraic
-    integers, so no non-integer rational can be a root.
-    """
-    mid = (lo + hi) / 2
-    if mid.denominator != 1:
-        return mid
-    gap = hi - lo
-    if gap > Fraction(2, 3):
-        return mid + Fraction(1, 3)
-    return mid + gap / 6
-
-
 class LargestRoot:
     """Isolating interval (lo, hi] for a poly's largest root.
 
-    Construction bisects until (lo, hi] holds exactly one root of the
-    square-free part ``poly``, which is then its largest root; every
-    later step keeps that.  Each bisection step evaluates the Sturm
-    chain once, at the sample point.  ``hi`` only ever moves down to a
-    point with no root above it, so V(hi) stays the variation count
-    ``vtop`` at the starting ``hi`` and the roots in (x, hi] number
-    V(x) - vtop; ``vlo`` is V(lo), kept whenever ``lo`` moves.
+    ``poly`` is the square-free part of the input and ``chain`` its
+    Sturm chain.  Construction runs one remainder sequence, the chain of
+    the input itself; only when that ends in a non-constant gcd is the
+    gcd divided out and the quotient's chain built.
+
+    The endpoints are lo = a/d and hi = b/d.  Each step samples one
+    point strictly inside: the midpoint when it is not an integer, else
+    a non-integer point beside it, so no sample is ever a root.
+
+    Construction bisects until (lo, hi] holds exactly one root of
+    ``poly``, which is then its largest root.  Until then a step
+    evaluates the chain once, at the sample point.  ``hi`` only ever
+    moves down to a point with no root above it, so V(hi) stays the
+    variation count ``vtop`` at the starting ``hi`` and the roots in
+    (x, hi] number V(x) - vtop; ``vlo`` is V(lo).  Once vlo - vtop is 1
+    a step evaluates only ``poly``: it is negative at the sample point
+    iff the point lies below the one root (module docstring).
     """
 
     def __init__(self, coeffs):
-        sf = square_free(coeffs)
-        if len(sf) <= 1:
+        chain = sturm_chain(coeffs)
+        if len(chain[-1]) > 1:  # repeated roots: divide out gcd(p, p')
+            q, r = _pseudo_divmod(chain[0], chain[-1])
+            assert not r, "square-free division must be exact"
+            chain = sturm_chain(q)
+        self.poly, self.chain = chain[0], chain
+        if len(self.poly) <= 1:
             raise ValueError("polynomial has no roots")
-        self.poly = sf
-        self.chain = sturm_chain(sf)
-        b = root_bound(sf)
-        self.lo = -b - Fraction(1, 3)
-        self.hi = b + Fraction(1, 3)
-        self.vlo = _variations(self.chain, self.lo)
-        self.vtop = _variations(self.chain, self.hi)
+        bound = root_bound(self.poly)
+        # (lo, hi] = (-bound - 1/3, bound + 1/3]
+        self.d = 3 * bound.denominator
+        self.b = 3 * bound.numerator + bound.denominator
+        self.a = -self.b
+        self.vlo = _variations(chain, self.a, self.d)
+        self.vtop = _variations(chain, self.b, self.d)
         if self.vlo - self.vtop < 1:
             raise ValueError("polynomial has no real roots")
         while self.vlo - self.vtop > 1:
             self.step()
 
-    def width(self):
-        return self.hi - self.lo
+    @property
+    def lo(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def hi(self):
+        return Fraction(self.b, self.d)
 
     def step(self):
-        mid = _sample_between(self.lo, self.hi)
-        vmid = _variations(self.chain, mid)
-        if vmid - self.vtop >= 1:
-            self.lo, self.vlo = mid, vmid
+        a, b, d = self.a, self.b, self.d
+        s = a + b
+        if s % (2 * d):  # the midpoint s/2d is not an integer
+            a, b, d = 2 * a, 2 * b, 2 * d
+        elif 3 * (b - a) > 2 * d:  # gap above 2/3: the midpoint + 1/3
+            s = 3 * s + 2 * d
+            a, b, d = 6 * a, 6 * b, 6 * d
+        else:  # the midpoint + gap/6
+            s = a + 2 * b
+            a, b, d = 3 * a, 3 * b, 3 * d
+        if self.vlo - self.vtop > 1:
+            v = _variations(self.chain, s, d)
+            root_above = v > self.vtop
+            if root_above:
+                self.vlo = v
         else:
-            self.hi = mid
+            root_above = _scaled_value(self.poly, s, d) < 0
+        self.a, self.b, self.d = (s, b, d) if root_above else (a, s, d)
 
     def refine_to(self, width):
-        while self.width() > width:
+        width = Fraction(width)
+        while (self.b - self.a) * width.denominator > width.numerator * self.d:
             self.step()
         return self.lo, self.hi
 
@@ -208,6 +228,8 @@ def compare_largest_roots(p, q) -> int:
     g = sturm_chain(poly_gcd(ip.poly, iq.poly))
     if count_roots(g, ip.lo, ip.hi) and count_roots(g, iq.lo, iq.hi):
         return 0
-    while ip.lo < iq.hi and iq.lo < ip.hi:
-        (ip if ip.width() >= iq.width() else iq).step()
-    return -1 if ip.hi <= iq.lo else 1
+    # endpoints cross-multiplied: x/dx < y/dy iff x * dy < y * dx
+    while ip.a * iq.d < iq.b * ip.d and iq.a * ip.d < ip.b * iq.d:
+        wider = (ip.b - ip.a) * iq.d >= (iq.b - iq.a) * ip.d
+        (ip if wider else iq).step()
+    return -1 if ip.b * iq.d <= iq.a * ip.d else 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import ParseError, SizeCapError
-from .graphs import Graph, _check_bitset_cap, complete_graph, from_graph6
+from .graphs import _G6_SPACE, Graph, _check_bitset_cap, complete_graph, from_graph6
 
 CHROMATIC_CAP = 12
 
@@ -40,6 +40,10 @@ class ForbiddenSpec:
     graph: Graph
     chi: int
     name: str | None = None
+
+    def __post_init__(self):
+        if self.graph.m == 0:
+            raise ValueError(f"forbidden graph must have at least one edge: {self.source!r}")
 
     @property
     def r(self) -> int:
@@ -65,8 +69,11 @@ def friendship_graph(k: int) -> Graph:
 
 
 def parse_forbidden(spec: str) -> ForbiddenSpec:
-    """Parse a forbidden-graph spec string into a ForbiddenSpec."""
-    token = spec.strip()
+    """Parse a forbidden-graph spec string into a ForbiddenSpec.
+
+    Only space, tab, CR and LF around the spec are ignored, as in graph6.
+    """
+    token = spec.strip(_G6_SPACE)
     if m := _K_RE.match(token):
         s = int(m.group(1))
         if s < 2:

@@ -107,15 +107,53 @@ def _report_from_assignment(g: Graph, assign: Sequence[int], r: int, certified: 
     )
 
 
+def _climb(g: Graph, r: int, assign: list[int], masks: list[int]) -> None:
+    """Hill climbing in place: move each vertex to the part where it has
+    the fewest neighbors until no move improves."""
+    improved = True
+    while improved:
+        improved = False
+        for v in range(g.n):
+            here = assign[v]
+            d_here = (g.adj[v] & masks[here]).bit_count()
+            target, d_target = here, d_here
+            for c in range(r):
+                if c == here:
+                    continue
+                d = (g.adj[v] & masks[c]).bit_count()
+                if d < d_target:
+                    target, d_target = c, d
+            if target != here:
+                masks[here] &= ~(1 << v)
+                masks[target] |= 1 << v
+                assign[v] = target
+                improved = True
+
+
+def _climbed_greedy_cost(g: Graph, r: int) -> int:
+    """Internal edges of a greedy assignment (each vertex joins the part
+    holding the fewest of its earlier neighbors) after `_climb`."""
+    assign, masks = [], [0] * r
+    for v in range(g.n):
+        c = min(range(r), key=lambda c: (g.adj[v] & masks[c]).bit_count())
+        assign.append(c)
+        masks[c] |= 1 << v
+    _climb(g, r, assign, masks)
+    return _internal_count(g, masks)
+
+
 def _exhaustive_min_internal(g: Graph, r: int) -> list[int]:
     """Certified assignment minimizing internal edges (= max cross).
 
     Branch and bound over assignments in symmetry-broken order: vertex
-    i may only open class min(i, used classes).
+    i may only open class min(i, used classes).  The bound starts at
+    U + 1 for a climbed greedy cost U when that is below the cost of
+    the fixed start assignment; see `max_cut_partition`.
     """
     n = g.n
     best_assign = [min(v, r - 1) for v in range(n)]
-    best_cost = _internal_count(g, _part_masks(best_assign, r))
+    best_cost = min(_internal_count(g, _part_masks(best_assign, r)),
+                    _climbed_greedy_cost(g, r) + 1)
     assign = [0] * n
     masks = [0] * r
 
@@ -143,8 +181,7 @@ def _exhaustive_min_internal(g: Graph, r: int) -> list[int]:
 
 
 def _local_search(g: Graph, r: int) -> list[int]:
-    """Multi-start hill climbing: move each vertex to the part where it
-    has the fewest neighbors until no move improves."""
+    """Multi-start `_climb` from seeded random assignments."""
     rng = random.Random(LOCAL_SEARCH_SEED)
     n = g.n
     best_assign: list[int] = []
@@ -152,24 +189,7 @@ def _local_search(g: Graph, r: int) -> list[int]:
     for _ in range(LOCAL_SEARCH_STARTS):
         assign = [rng.randrange(r) for _ in range(n)]
         masks = _part_masks(assign, r)
-        improved = True
-        while improved:
-            improved = False
-            for v in range(n):
-                here = assign[v]
-                d_here = (g.adj[v] & masks[here]).bit_count()
-                target, d_target = here, d_here
-                for c in range(r):
-                    if c == here:
-                        continue
-                    d = (g.adj[v] & masks[c]).bit_count()
-                    if d < d_target:
-                        target, d_target = c, d
-                if target != here:
-                    masks[here] &= ~(1 << v)
-                    masks[target] |= 1 << v
-                    assign[v] = target
-                    improved = True
+        _climb(g, r, assign, masks)
         cost = _internal_count(g, masks)
         if best_cost is None or cost < best_cost:
             best_cost, best_assign = cost, assign[:]
@@ -182,6 +202,16 @@ def max_cut_partition(g: Graph, r: int) -> PartitionReport:
     When r**n <= AUTO_EXHAUSTIVE_BUDGET an exhaustive branch and bound
     finds a certified optimum; otherwise a seeded multi-start local
     search gives a deterministic, uncertified partition.
+
+    The branch and bound returns the first optimal leaf in its search
+    order, or its fixed start assignment when that is already optimal.
+    It is seeded with the bound U + 1, where U is the internal-edge
+    count of a greedy assignment improved by hill climbing, whenever
+    that is below the start's cost.  Since U is at least the optimum,
+    every partial assignment on the way to the first optimal leaf costs
+    less than the bound and is still searched, and when the start is
+    optimal the bound stays at its cost; so the seed only prunes, and
+    the result is the one the unseeded search returns.
     """
     if r < 2:
         raise ValueError(f"need at least 2 classes, got r={r}")

@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive: labeled exhaustion, permutation
 brute force, Leibniz determinant expansion, big-integer Faddeev-LeVerrier,
-dense eigensolves.  None of it shares code paths with the
-implementations under test.
+dense eigensolves, Sturm sequences over the rationals with Fraction
+bisection, branch and bound from a fixed start.  None of it shares code
+paths with the implementations under test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -249,3 +252,176 @@ def random_connected_graph(rng, n, p=0.5) -> Graph:
         g = random_graph(rng, n, p)
         if g.is_connected():
             return g
+
+
+# ---------------------------------------------------------------------------
+# exact largest roots: rational bisection on a true Sturm sequence
+# ---------------------------------------------------------------------------
+
+
+def _q_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _q_divmod(a, b):
+    """Quotient and remainder of a by b over the rationals."""
+    a, b = [Fraction(c) for c in _q_trim(a)], _q_trim(b)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        q[shift] = c
+        for i, bc in enumerate(b):
+            a[shift + i] -= c * bc
+        a = _q_trim(a[:-1])
+    return q, a
+
+
+def _q_gcd(a, b):
+    """A greatest common divisor over the rationals (any nonzero scale)."""
+    a, b = _q_trim(a), _q_trim(b)
+    while b:
+        a, b = b, _q_divmod(a, b)[1]
+    return a
+
+
+def _q_integral(p):
+    """The positive multiple of p with integer coefficients."""
+    den = 1
+    for c in p:
+        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
+    return [int(c * den) for c in p]
+
+
+def rational_sturm_sequence(coeffs):
+    """(square-free part of p, its Sturm sequence): p / gcd(p, p'), then
+    P0, P1 = P0', P_(k+1) = -rem(P_(k-1), P_k) over the rationals, each
+    member scaled by a positive factor to integer coefficients."""
+    p = _q_trim(coeffs)
+    sf = _q_divmod(p, _q_gcd(p, [i * c for i, c in enumerate(p)][1:]))[0] if p else p
+    seq = [sf, [i * c for i, c in enumerate(sf)][1:]] if len(sf) > 1 else [sf]
+    while len(seq[-1]) > 1:
+        r = _q_divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return _q_integral(sf), [_q_integral(s) for s in seq]
+
+
+def _fraction_variations(chain, x):
+    """Sign changes along the chain at x, from p(num/den) * den**deg."""
+    num, den = x.numerator, x.denominator
+    signs = []
+    for p in chain:
+        acc, scale = 0, 1
+        for c in reversed(p):
+            acc = acc * num + c * scale
+            scale *= den
+        if acc:
+            signs.append(acc > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _fraction_sample_between(lo, hi):
+    """A rational in (lo, hi) that is not an integer, so never a root of
+    a characteristic polynomial (its roots are algebraic integers)."""
+    mid = (lo + hi) / 2
+    if mid.denominator != 1:
+        return mid
+    gap = hi - lo
+    if gap > Fraction(2, 3):
+        return mid + Fraction(1, 3)
+    return mid + gap / 6
+
+
+class FractionLargestRoot:
+    """Isolating interval (lo, hi] for the largest root, with Fraction
+    endpoints and one Sturm-sequence evaluation per bisection step.
+
+    The reference for the integer bisection: it samples the same points,
+    so every interval it visits is the library's.  ``isolation_steps``
+    counts the steps construction took.
+    """
+
+    def __init__(self, coeffs):
+        self.poly, self.chain = rational_sturm_sequence(coeffs)
+        if len(self.poly) <= 1:
+            raise ValueError("polynomial has no roots")
+        bound = Fraction(max(map(abs, self.poly[:-1]), default=0), abs(self.poly[-1])) + 1
+        self.lo = -bound - Fraction(1, 3)
+        self.hi = bound + Fraction(1, 3)
+        self.vlo = _fraction_variations(self.chain, self.lo)
+        self.vtop = _fraction_variations(self.chain, self.hi)
+        if self.vlo - self.vtop < 1:
+            raise ValueError("polynomial has no real roots")
+        self.isolation_steps = 0
+        while self.vlo - self.vtop > 1:
+            self.step()
+            self.isolation_steps += 1
+
+    def width(self):
+        return self.hi - self.lo
+
+    def step(self):
+        mid = _fraction_sample_between(self.lo, self.hi)
+        vmid = _fraction_variations(self.chain, mid)
+        if vmid - self.vtop >= 1:
+            self.lo, self.vlo = mid, vmid
+        else:
+            self.hi = mid
+
+    def refine_to(self, width):
+        while self.width() > width:
+            self.step()
+        return self.lo, self.hi
+
+
+def fraction_compare_largest_roots(p, q) -> int:
+    """-1, 0, or 1 as the largest real root of p is below, equal to, or
+    above that of q: equal iff gcd(p, q) has a root in both isolating
+    intervals, else the wider interval is bisected until they part."""
+    ip, iq = FractionLargestRoot(p), FractionLargestRoot(q)
+    _, g = rational_sturm_sequence(_q_gcd(ip.poly, iq.poly))
+    if all(_fraction_variations(g, i.lo) - _fraction_variations(g, i.hi) for i in (ip, iq)):
+        return 0
+    while ip.lo < iq.hi and iq.lo < ip.hi:
+        (ip if ip.width() >= iq.width() else iq).step()
+    return -1 if ip.hi <= iq.lo else 1
+
+
+def exhaustive_min_internal_unseeded(g: Graph, r: int) -> list[int]:
+    """Branch and bound for an assignment to r classes with the fewest
+    internal edges, searched in symmetry-broken order (vertex i may only
+    open class min(i, used classes)) from the bound of the fixed start
+    assignment min(v, r - 1).  The reference for the seeded search."""
+    n = g.n
+
+    def internal(assign):
+        return sum(1 for u, v in g.edges() if assign[u] == assign[v])
+
+    best_assign = [min(v, r - 1) for v in range(n)]
+    best_cost = internal(best_assign)
+    assign = [0] * n
+    masks = [0] * r
+
+    def rec(v, used, cost):
+        nonlocal best_cost, best_assign
+        if cost >= best_cost:
+            return
+        if v == n:
+            best_cost, best_assign = cost, assign[:]
+            return
+        for c in range(min(used + 1, r)):
+            extra = (g.adj[v] & masks[c]).bit_count()
+            if cost + extra >= best_cost:
+                continue
+            assign[v] = c
+            masks[c] |= 1 << v
+            rec(v + 1, max(used, c + 1), cost + extra)
+            masks[c] &= ~(1 << v)
+
+    rec(0, 0, 0)
+    return best_assign

@@ -20,6 +20,7 @@ from turantools.graphs import (
     to_graph6,
 )
 from turantools.patterns import (
+    ForbiddenSpec,
     chromatic_number,
     contains_subgraph,
     friendship_graph,
@@ -56,7 +57,9 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["K1", "K0", "F0", "F2,2", "F0,4", "W5", "", "g6:", "g6:C~x", "k3 extra"],
+        ["K1", "K0", "F0", "F2,2", "F0,4", "W5", "", "g6:", "g6:C~x", "k3 extra",
+         # only space, tab, CR and LF are stripped, as in graph6
+         "g6:Ch\x1c", "\x0bK3\x1f"],
     )
     def test_rejects(self, bad):
         with pytest.raises(ParseError) as err:
@@ -73,6 +76,16 @@ class TestParse:
     def test_rejects_edgeless(self):
         with pytest.raises(ParseError):
             parse_forbidden("g6:" + to_graph6(empty_graph(3)))
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_spec_without_edges_cannot_be_built(self, n):
+        with pytest.raises(ValueError, match="at least one edge"):
+            ForbiddenSpec("e", empty_graph(n), chi=n)
+
+    def test_surrounding_graph6_whitespace_is_stripped(self):
+        assert parse_forbidden(" K3\n").source == "K3"
+        spec = parse_forbidden("\tF2\r\n")
+        assert spec.source == "F2" and spec.graph == friendship_graph(2)
 
     def test_r_is_chi_minus_one(self):
         for token in ["K2", "K3", "K5", "F1", "F3", "F2,4", "F2,5"]:

@@ -19,12 +19,14 @@ from turantools.graphs import (
     disjoint_union,
     empty_graph,
     path_graph,
+    to_graph6,
     turan_graph,
     turan_parts,
 )
 from turantools.spectral import (
     EQUAL,
     GREATER,
+    INTERVAL_WIDTH,
     LESS,
     certified_radius_interval,
     char_poly_exact,
@@ -36,9 +38,11 @@ from turantools.spectral import (
 )
 
 from oracles import (
+    FractionLargestRoot,
     charpoly_faddeev_bigint,
     charpoly_leibniz,
     eig_max,
+    fraction_compare_largest_roots,
     perron_vector,
     random_connected_graph,
     random_graph,
@@ -325,44 +329,6 @@ class TestCompareExact:
             rng.shuffle(perm)
             assert compare_exact(g, g.relabel(perm)) == EQUAL
 
-    def test_one_sturm_evaluation_per_bisection_step(self, monkeypatch):
-        evaluations, steps, roots = Counter(), Counter(), []
-        variations, step, init = _realroots._variations, LargestRoot.step, LargestRoot.__init__
-
-        def spy_variations(chain, x):
-            evaluations[id(chain)] += 1
-            return variations(chain, x)
-
-        def spy_step(self):
-            steps[id(self)] += 1
-            step(self)
-
-        def spy_init(self, coeffs):
-            roots.append(self)
-            init(self, coeffs)
-
-        monkeypatch.setattr(_realroots, "_variations", spy_variations)
-        monkeypatch.setattr(LargestRoot, "step", spy_step)
-        monkeypatch.setattr(LargestRoot, "__init__", spy_init)
-        t = turan_graph(20, 3)
-        for run in (
-            lambda: certified_radius_interval(t),
-            lambda: compare_exact(t, t.with_edge(0, 1)),
-        ):
-            evaluations.clear()
-            steps.clear()
-            roots.clear()
-            run()
-            assert roots
-            for root in roots:
-                # two at construction (lo and the top), then one per step
-                assert steps[id(root)] > 0
-                assert evaluations[id(root.chain)] == 2 + steps[id(root)]
-        # equal characteristic polynomials are equal before any Sturm work
-        roots.clear()
-        assert compare_exact(t, t.relabel(range(19, -1, -1))) == EQUAL
-        assert roots == []
-
     def test_certified_interval(self):
         lo, hi = certified_radius_interval(cycle_graph(5))
         assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
@@ -384,6 +350,105 @@ class TestCompareExact:
     def test_certified_interval_endpoints_are_pinned(self, g, lo, hi):
         # any change to the bisection's sample points moves these
         assert certified_radius_interval(g) == (lo, hi)
+
+
+def _bisection_corpus():
+    """Every class with n <= 6, then seeded G(n,p) graphs up to n = 24."""
+    graphs = [g for n in range(1, 7) for g in generate(n)]
+    rng = random.Random(2024)
+    for n, p in ((8, 0.5), (11, 0.3), (14, 0.7), (17, 0.5), (20, 0.4), (24, 0.5)):
+        graphs.append(random_graph(rng, n, p))
+    return graphs
+
+
+BISECTION_CORPUS = _bisection_corpus()
+
+
+class TestLargestRoot:
+    """The integer bisection against the Fraction reference in oracles:
+    the same sample points, so the same intervals at every step."""
+
+    def test_isolating_intervals_match_reference(self):
+        for g in BISECTION_CORPUS:
+            cp = char_poly_exact(g)
+            ours, ref = LargestRoot(cp), FractionLargestRoot(cp)
+            assert (ours.lo, ours.hi) == (ref.lo, ref.hi), to_graph6(g)
+
+    def test_refine_to_endpoints_match_reference(self):
+        widths = (Fraction(1, 3), Fraction(1, 1000), INTERVAL_WIDTH, Fraction(1, 10**30))
+        for g in BISECTION_CORPUS:
+            cp = char_poly_exact(g)
+            ours, ref = LargestRoot(cp), FractionLargestRoot(cp)
+            for width in widths:
+                assert ours.refine_to(width) == ref.refine_to(width), (to_graph6(g), width)
+
+    def test_compare_verdicts_match_reference(self):
+        pairs = []
+        for n in range(1, 7):
+            # neighbours in float-radius order are the near ties
+            classes = sorted(generate(n), key=eig_max)
+            pairs += zip(classes, classes[1:])
+            pairs += [(g, g.with_edge(*next(g.non_edges()))) for g in classes if g.m < n * (n - 1) // 2]
+            pairs += [(g, turan_graph(n, 2)) for g in classes if n >= 2]
+        for g in BISECTION_CORPUS[-6:]:
+            pairs += [(g.with_edge(*next(g.non_edges())), g), (g, turan_graph(g.n, 3))]
+        verdicts = Counter()
+        for g, h in pairs:
+            p, q = char_poly_exact(g), char_poly_exact(h)
+            verdict = _realroots.compare_largest_roots(p, q)
+            assert verdict == fraction_compare_largest_roots(p, q), (to_graph6(g), to_graph6(h))
+            verdicts[verdict] += 1
+        assert set(verdicts) == {LESS, EQUAL, GREATER}
+
+    def test_chain_evaluated_only_until_isolation(self, monkeypatch):
+        chains, values, steps, roots = Counter(), Counter(), Counter(), []
+        variations, scaled_value = _realroots._variations, _realroots._scaled_value
+        step, init = LargestRoot.step, LargestRoot.__init__
+
+        def spy_variations(chain, num, den):
+            chains[id(chain)] += 1
+            return variations(chain, num, den)
+
+        def spy_scaled_value(p, num, den):
+            values[id(p)] += 1
+            return scaled_value(p, num, den)
+
+        def spy_step(self):
+            steps[id(self)] += 1
+            assert steps[id(self)] < 1000, "bisection does not isolate the root"
+            step(self)
+
+        def spy_init(self, coeffs):
+            init(self, coeffs)
+            roots.append((self, steps[id(self)], FractionLargestRoot(coeffs).isolation_steps))
+
+        monkeypatch.setattr(_realroots, "_variations", spy_variations)
+        monkeypatch.setattr(_realroots, "_scaled_value", spy_scaled_value)
+        monkeypatch.setattr(LargestRoot, "step", spy_step)
+        monkeypatch.setattr(LargestRoot, "__init__", spy_init)
+        t = turan_graph(20, 3)
+        for run in (
+            lambda: certified_radius_interval(t),
+            lambda: compare_exact(t, t.with_edge(0, 1)),
+        ):
+            chains.clear()
+            values.clear()
+            steps.clear()
+            roots.clear()
+            run()
+            assert roots
+            for root, isolating, reference_isolating in roots:
+                later = steps[id(root)] - isolating
+                assert isolating == reference_isolating > 0 and later > 0
+                # two at construction (lo and the top), then one per isolation step
+                assert chains[id(root.chain)] == 2 + isolating
+                # each chain evaluation evaluates poly = chain[0] too; the
+                # rest are the sign tests, one per later step
+                assert values[id(root.poly)] - chains[id(root.chain)] == later
+        # equal characteristic polynomials are equal before any Sturm work
+        roots.clear()
+        assert compare_exact(t, t.relabel(range(19, -1, -1))) == EQUAL
+        assert roots == []
 
 
 class TestTuranPerronClosed:

@@ -6,7 +6,9 @@ from turantools.graphs import (
     complete_graph,
     cycle_graph,
     from_graph6,
+    to_graph6,
     turan_graph,
+    turan_parts,
 )
 from turantools.patterns import friendship_graph, parse_forbidden
 from turantools.spectral import turan_perron_closed
@@ -22,7 +24,7 @@ from turantools.structure import (
     structural_checks,
 )
 
-from oracles import random_graph
+from oracles import exhaustive_min_internal_unseeded, random_graph
 
 K3 = parse_forbidden("K3")
 K4 = parse_forbidden("K4")
@@ -72,6 +74,23 @@ class TestMaxCut:
             ex = _internal_count(g, _part_masks(_exhaustive_min_internal(g, r), r))
             ls = _internal_count(g, _part_masks(_local_search(g, r), r))
             assert ex <= ls
+
+    def test_seeded_bound_returns_the_unseeded_assignment(self):
+        rng = random.Random(4)
+        graphs = []
+        for n in range(2, 15):
+            graphs += [random_graph(rng, n, p) for p in (0.1, 0.3, 0.5, 0.8)]
+            for r in range(2, min(n, 4) + 1):
+                t = turan_graph(n, r)
+                if turan_parts(n, r)[0] >= 2:  # vertices 0 and 1 share a part
+                    t = t.with_edge(0, 1)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                graphs += [turan_graph(n, r), t.relabel(perm)]
+        for g in graphs:
+            for r in range(2, 5):
+                expected = exhaustive_min_internal_unseeded(g, r)
+                assert _exhaustive_min_internal(g, r) == expected, (to_graph6(g), r)
 
     def test_single_moves_never_improve_certified_optimum(self):
         rng = random.Random(3)
