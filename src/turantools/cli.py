@@ -3,7 +3,8 @@
 Subcommands: gen, extremal, spectral, secular, turan, verify, diagnose.
 Data goes to stdout (graph6 lines, tables, or JSON with --json);
 diagnostics and counts go to stderr.  Exit codes: 0 ok, 2 usage,
-3 parse error, 4 size cap, 1 internal failure.
+3 parse error, 4 size cap, 1 internal failure.  A stdout closed by its
+reader ends the run quietly with 0.
 
 Environment override: JOBS (default worker count).  A bad value, from
 the environment or the command line, is a usage error (exit 2), and so
@@ -310,7 +311,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader has all it wants (``| head``): not a failure.  The
+        # walk's generator is closed as the traceback is dropped, which
+        # shuts its pool down, and the unwritten output goes to devnull
+        # so the flush at shutdown stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -33,17 +33,31 @@ class ForbiddenSpec:
     """A parsed forbidden graph with its derived coloring data.
 
     ``r = chi - 1`` is the class count of the Turan graphs that
-    edge-extremal F-free graphs approximate.
+    edge-extremal F-free graphs approximate.  ``chi`` is checked on
+    construction: up to CHROMATIC_CAP vertices it must be the exact
+    chromatic number, which is computed when ``chi`` is left out;
+    above the cap it must lie in [2, max degree + 1].
     """
 
     source: str
     graph: Graph
-    chi: int
+    chi: int | None = None
     name: str | None = None
 
     def __post_init__(self):
-        if self.graph.m == 0:
+        g = self.graph
+        if g.m == 0:
             raise ValueError(f"forbidden graph must have at least one edge: {self.source!r}")
+        if self.chi is None:
+            object.__setattr__(self, "chi", chromatic_number(g))  # SizeCapError above the cap
+        elif g.n <= CHROMATIC_CAP:
+            chi = chromatic_number(g)
+            if self.chi != chi:
+                raise ValueError(f"chi={self.chi} is not the chromatic number {chi} of {self.source!r}")
+        elif not 2 <= self.chi <= max(g.degrees()) + 1:
+            raise ValueError(
+                f"chi={self.chi} of {self.source!r} is outside [2, max degree + 1]"
+            )
 
     @property
     def r(self) -> int:
@@ -101,7 +115,7 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
             raise ParseError(f"bad graph6 in {token!r}: {exc.message}", offset=offset) from exc
         if graph.m == 0:
             raise ParseError(f"forbidden graph must have at least one edge: {token!r}")
-        return ForbiddenSpec(token, graph, chi=chromatic_number(graph))
+        return ForbiddenSpec(token, graph)
     raise ParseError(
         f"unknown forbidden-graph spec {token!r} "
         "(expected K<s>, F<k>, F<k>,<s>, or g6:<graph6>)"

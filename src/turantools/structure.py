@@ -303,8 +303,11 @@ def structural_checks(
     ``excess`` is the caller-supplied number of edges the extremal
     graphs add on top of the Turan graph (typically a report's
     ``excess``).  Failures are findings: the facts are guaranteed only
-    asymptotically.
+    asymptotically.  A negative ``excess`` is a ValueError: T(n, r) is
+    F-free, so ex(n, F) is at least its edge count.
     """
+    if excess < 0:
+        raise ValueError(f"edge excess over the Turan graph cannot be negative, got {excess}")
     r = spec.r
     n = g.n
     a = excess

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: labeled exhaustion, permutation
 brute force, Leibniz determinant expansion, big-integer Faddeev-LeVerrier,
-dense eigensolves, Sturm sequences over the rationals with Fraction
-bisection, branch and bound from a fixed start.  None of it shares code
-paths with the implementations under test.
+dense eigensolves, power iteration in plain numpy expressions, Sturm
+sequences over the rationals with Fraction bisection, branch and bound
+from a fixed start.  None of it shares code paths with the
+implementations under test.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from turantools import spectral
+from turantools.errors import NonConvergenceError
 from turantools.graphs import Graph
+from turantools.spectral import SpectralResult
 
 
 def all_labeled_graphs(n):
@@ -233,6 +237,56 @@ def perron_vector(g: Graph) -> np.ndarray:
     if vec.sum() < 0:
         vec = -vec
     return vec / vec.max()
+
+
+def spectral_radius_reference(g: Graph, tol: float) -> SpectralResult:
+    """The power iteration in its plain-expression form, one temporary
+    per step, as ``spectral_radius`` ran it before its sweeps were
+    written into preallocated buffers.  Every field of the result, and
+    the ``best`` / ``iterations`` of a NonConvergenceError, is the bit
+    pattern the buffered form must reproduce.  The sweep cap is read
+    from ``turantools.spectral`` at call time, so a test that patches
+    it patches both.
+    """
+    if not spectral.MIN_TOL <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= {spectral.MIN_TOL}, got {tol}")
+    if g.n == 0:
+        raise ValueError("spectral radius of the empty graph is undefined")
+    cap = spectral.ITERATION_CAP
+
+    def power_iteration(sub):
+        x = np.ones(sub.shape[0])
+        for sweep in range(1, cap + 1):
+            y = sub @ x
+            lam = float(x @ y) / float(x @ x)
+            residual = float(np.max(np.abs(y - lam * x)))
+            if residual <= tol:
+                return lam, x, residual, sweep
+            x = y + x  # (A + I) x
+            x /= x.max()
+        raise NonConvergenceError(
+            f"power iteration failed to reach tol={tol} in {cap} sweeps",
+            best=lam,
+            iterations=cap,
+        )
+
+    a = adjacency_matrix(g)
+    best = None  # (lam, comp, x, residual)
+    total_sweeps = 0
+    for comp in g.connected_components():
+        lam, x, residual, sweeps = power_iteration(a[np.ix_(comp, comp)])
+        total_sweeps += sweeps
+        if best is None or lam > best[0]:
+            best = (lam, comp, x, residual)
+    lam, comp, x, residual = best
+    full = np.zeros(g.n)
+    full[comp] = x
+    return SpectralResult(
+        lam=lam,
+        vector=tuple(full.tolist()),
+        residual=residual,
+        iterations=total_sweeps,
+    )
 
 
 def random_graph(rng, n, p=0.5) -> Graph:

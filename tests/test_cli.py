@@ -1,7 +1,9 @@
 import argparse
+import hashlib
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -193,6 +195,13 @@ class TestDiagnose:
         assert payload["partition"]["balanced"] is True
         assert payload["degree_classes"]["heavy_within_low"] is True
 
+    def test_negative_excess_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["diagnose", "--g6", "EFz_", "--forbid", "K3", "--a", "-3"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "cannot be negative" in err
+
 
 class TestEnvOverrides:
     def test_tol_env_is_ignored(self, monkeypatch, capsys):
@@ -309,8 +318,9 @@ class TestExitCodes:
 class TestPinnedOutputs:
     """Exact-layer outputs recorded before the integer-only rewrite of
     that layer; a drift in sample points, Sturm chains or verdicts
-    changes them.  Power-iteration floats are left out, since BLAS
-    rounding may differ between machines."""
+    changes them.  The power-iteration floats are pinned only in
+    ``test_spectral_json``, since BLAS rounding may differ between
+    machines."""
 
     @pytest.mark.parametrize(
         "g6,interval",
@@ -345,6 +355,49 @@ class TestPinnedOutputs:
             (6, 9, ["E?~w", "EFz_", "E`Nw"], ["E?~w"], True, False),
             (7, 12, ["F?~v_", "FJaNw"], ["F?B~w"], False, False),
         ]
+
+    @pytest.mark.parametrize(
+        "g6,digest",
+        [
+            ("D~{", "f59fa459e04d1fe27eec00931a1a2c538f1b69a9992a2a38329e00a7ad75cffe"),
+            ("DwC", "cd0fcdc2c4d977cf8c641a320df88ed2ca6c57253ae326aa6aab1db11dec9602"),
+            ("G?~vf_", "e9a05a1337bd5d9e9b773aa3c4490930fa51cd7c6e89e8c93c88443e9e8d52de"),
+            ("G?`cr_", "ce7989b11b2783a0a4e16a30f8c5f78b279c1a20872e4a1fdd557390b648436b"),
+        ],
+        ids=["K5-1-sweep", "K3+K2", "K44", "F2-free-197-sweeps"],
+    )
+    def test_spectral_json(self, capsys, g6, digest):
+        # every float repr, the Perron vector's zero padding and the sweep
+        # count; recorded with numpy 2.4.6 and its bundled OpenBLAS on x86-64
+        code, out, _ = run_cli(["spectral", "--g6", g6, "--json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops after one line (``| head -1``): exit 0, nothing
+    # on stderr, and no worker of the pool left behind.  The run has its
+    # own process group, which is empty once every process in it is gone.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "turantools", "gen", "--n", "8", "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline() == b"G?????\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        assert proc.stderr.read() == b""  # EOF: no process holds stderr open
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_console_entry_point_runs():

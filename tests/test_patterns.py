@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turantools import patterns
 from turantools.enumeration import generate
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import (
@@ -81,6 +82,45 @@ class TestParse:
     def test_spec_without_edges_cannot_be_built(self, n):
         with pytest.raises(ValueError, match="at least one edge"):
             ForbiddenSpec("e", empty_graph(n), chi=n)
+
+    @pytest.mark.parametrize("chi", [1, 2, 4, 7])
+    def test_spec_with_a_wrong_chi_cannot_be_built(self, chi):
+        # chi = 7 would report against T(n, 6); chi = 1 against no Turan graph
+        with pytest.raises(ValueError, match="not the chromatic number 3"):
+            ForbiddenSpec("t", complete_graph(3), chi=chi)
+
+    def test_chi_above_the_chromatic_cap_is_bounded_by_degree(self):
+        k13 = complete_graph(13)
+        assert ForbiddenSpec("K13", k13, chi=13).r == 12
+        for chi in (1, 14):
+            with pytest.raises(ValueError, match="outside"):
+                ForbiddenSpec("K13", k13, chi=chi)
+
+    def test_left_out_chi_is_computed(self):
+        assert ForbiddenSpec("c5", cycle_graph(5)).chi == 3
+        with pytest.raises(SizeCapError):
+            ForbiddenSpec("k13", complete_graph(13))
+
+    @pytest.mark.parametrize(
+        "token,chi",
+        [(f"K{s}", s) for s in range(2, 9)]
+        + [(f"F{k}", 3) for k in range(1, 7)]
+        + [("F2,4", 4), ("g6:Ch", 2), ("g6:Dhc", 3), ("g6:" + to_graph6(complete_graph(12)), 12)],
+    )
+    def test_every_spec_the_suite_parses_builds(self, token, chi):
+        assert parse_forbidden(token).chi == chi
+
+    def test_g6_spec_computes_chi_once(self, monkeypatch):
+        calls = []
+        counted = patterns.chromatic_number
+
+        def spy(g):
+            calls.append(g)
+            return counted(g)
+
+        monkeypatch.setattr(patterns, "chromatic_number", spy)
+        assert parse_forbidden("g6:Dhc").chi == 3
+        assert len(calls) == 1
 
     def test_surrounding_graph6_whitespace_is_stripped(self):
         assert parse_forbidden(" K3\n").source == "K3"

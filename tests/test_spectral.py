@@ -7,10 +7,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from turantools import _realroots
+from turantools import _realroots, spectral
 from turantools._realroots import LargestRoot
 from turantools.enumeration import generate
-from turantools.errors import SizeCapError
+from turantools.errors import NonConvergenceError, SizeCapError
 from turantools.graphs import (
     Graph,
     complete_graph,
@@ -18,16 +18,20 @@ from turantools.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    from_graph6,
     path_graph,
     to_graph6,
     turan_graph,
     turan_parts,
 )
+from turantools.patterns import parse_forbidden
 from turantools.spectral import (
+    DEFAULT_TOL,
     EQUAL,
     GREATER,
     INTERVAL_WIDTH,
     LESS,
+    MIN_TOL,
     certified_radius_interval,
     char_poly_exact,
     compare_exact,
@@ -46,6 +50,7 @@ from oracles import (
     perron_vector,
     random_connected_graph,
     random_graph,
+    spectral_radius_reference,
 )
 
 
@@ -116,6 +121,61 @@ class TestSpectralRadius:
             g = random_connected_graph(rng, rng.randint(2, 8))
             res = spectral_radius(g, tol=1e-12)
             assert np.allclose(np.array(res.vector), perron_vector(g), atol=1e-6)
+
+
+def _bits(res):
+    """Every field of a SpectralResult, bit for bit (0.0 and -0.0 differ)."""
+    floats = (res.lam, res.residual, *res.vector)
+    return [type(v) for v in floats], [v.hex() for v in floats], res.iterations
+
+
+def _reference_corpus():
+    """Every class with n <= 7 (the F2-free classes 5..7 among them) and
+    the F2-free classes on 8 vertices; then seeded G(n,p) graphs with
+    n = 9..24, disconnected ones and ones with isolated vertices among
+    them."""
+    classes = list(generate(7, n_min=1)) + list(generate(8, prune=parse_forbidden("F2")))
+    rng = random.Random(19)
+    seeded = []
+    for n in range(9, 25):
+        for p in (0.08, 0.3, 0.6):
+            seeded.append(random_graph(rng, n, p))
+        seeded.append(disjoint_union(random_graph(rng, n - 3, 0.5), empty_graph(3)))
+    return classes, seeded
+
+
+class TestBufferedSweepsMatchReference:
+    """The buffered power iteration against the plain-expression form
+    kept in oracles: the same lambda, Perron vector, residual and sweep
+    count, bit for bit, so no digit of any report moves."""
+
+    def test_every_field_is_bit_identical(self):
+        classes, seeded = _reference_corpus()
+        shapes = Counter(
+            "isolated" if 0 in g.degrees() else "disconnected" if not g.is_connected() else "connected"
+            for g in seeded
+        )
+        assert min(shapes.values()) >= 5, shapes
+        runs = [(g, DEFAULT_TOL) for g in classes + seeded]
+        runs += [(g, tol) for g in classes[::9] + seeded for tol in (1e-6, MIN_TOL)]
+        for g, tol in runs:
+            assert _bits(spectral_radius(g, tol)) == _bits(spectral_radius_reference(g, tol)), (
+                to_graph6(g), tol)
+
+    @pytest.mark.parametrize("cap", [1, 2, 30])
+    def test_non_convergence_is_bit_identical(self, monkeypatch, cap):
+        # the 197-sweep F2-free class on 8 vertices, and P9 plus K1
+        monkeypatch.setattr(spectral, "ITERATION_CAP", cap)
+        for g in (from_graph6("G?`cr_"), disjoint_union(path_graph(9), empty_graph(1))):
+            errors = []
+            for solve in (spectral_radius, spectral_radius_reference):
+                with pytest.raises(NonConvergenceError) as exc:
+                    solve(g, DEFAULT_TOL)
+                errors.append(exc.value)
+            ours, ref = errors
+            assert (ours.best.hex(), ours.iterations, str(ours)) == (
+                ref.best.hex(), ref.iterations, str(ref))
+            assert ours.iterations == cap
 
 
 class TestCharPoly:

@@ -209,6 +209,14 @@ class TestStructuralChecks:
             by_id = {c.check_id: c for c in checks}
             assert by_id["internal_minus_missing"].holds  # e_in - e_out <= 1
 
+    def test_negative_excess_is_rejected(self):
+        # T(n, r) is F-free, so ex(n, F) >= e(T(n, r)) and the excess is >= 0
+        g = turan_graph(6, 2)
+        partition = max_cut_partition(g, K3.r)
+        with pytest.raises(ValueError, match="cannot be negative"):
+            structural_checks(g, K3, -3, partition)
+        assert len(structural_checks(g, K3, 0, partition)) == 7
+
     def test_json_shape(self):
         g = turan_graph(6, 2)
         checks = structural_checks(g, K3, 0, max_cut_partition(g, K3.r))
