@@ -62,29 +62,20 @@ static void pack_triangle(int n, const u64 *adj, const int *order,
  * ascending count, old order kept inside each.  Returns 1 iff it split. */
 static int split_cell(const u64 *adj, int *lab, char *ptn, int a, int b, u64 smask)
 {
-    int cnt[MAXN], vals[MAXN], tmp[MAXN];
-    int nvals = 0, pos = a;
+    int cnt[MAXN], tmp[MAXN];
+    int lo = MAXN, hi = 0, pos = a;
     for (int k = a; k <= b; k++) {
-        int c = popcount(adj[lab[k]] & smask), t = 0;
-        cnt[k] = c;
-        while (t < nvals && vals[t] != c)
-            t++;
-        if (t == nvals)
-            vals[nvals++] = c;
+        int c = cnt[k] = popcount(adj[lab[k]] & smask);
+        lo = c < lo ? c : lo;
+        hi = c > hi ? c : hi;
     }
-    if (nvals == 1)
+    if (lo == hi)
         return 0;
-    for (int t = 1; t < nvals; t++) {
-        int c = vals[t], k = t - 1;
-        while (k >= 0 && vals[k] > c) {
-            vals[k + 1] = vals[k];
-            k--;
-        }
-        vals[k + 1] = c;
-    }
-    for (int t = 0; t < nvals; t++) {
+    /* count lo is never empty, so pos > a below, and an empty count
+     * closes the sub-cell already closed */
+    for (int c = lo; c <= hi; c++) {
         for (int k = a; k <= b; k++)
-            if (cnt[k] == vals[t]) {
+            if (cnt[k] == c) {
                 tmp[pos] = lab[k];
                 ptn[pos++] = 1;
             }
@@ -275,7 +266,7 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
                          unsigned char *form_out, int **gens_out, int *ngens_out)
 {
     CanonState st;
-    int lab[MAXN], degs[MAXN], parent[MAXN], maxdeg = 0, pos = 0, applied = 0;
+    int lab[MAXN], parent[MAXN], applied = 0;
     char ptn[MAXN];
     if (gens_out != NULL) {
         *gens_out = NULL;
@@ -293,19 +284,12 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
     st.gens = NULL;
     st.ngens = st.maxgens = st.nomem = st.depth = 0;
     seed_twins(&st);
+    /* the unit partition: its first splitter, the whole vertex set,
+     * splits out the degree cells */
     for (int i = 0; i < n; i++) {
-        degs[i] = popcount(adj[i]);
-        if (degs[i] > maxdeg)
-            maxdeg = degs[i];
+        lab[i] = i;
+        ptn[i] = i < n - 1;
     }
-    /* initial cells: degree ascending, vertex id ascending inside */
-    for (int d = 0; d <= maxdeg; d++)
-        for (int i = 0; i < n; i++)
-            if (degs[i] == d)
-                lab[pos++] = i;
-    for (int i = 0; i < n - 1; i++)
-        ptn[i] = degs[lab[i]] == degs[lab[i + 1]];
-    ptn[n - 1] = 0;
     if (!st.nomem)
         search(&st, lab, ptn);
     if (st.nomem) {

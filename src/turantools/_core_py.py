@@ -121,11 +121,8 @@ class _CanonSearch:
     def run(self):
         n, adj = self.n, self.adj
         self._seed_twins()
-        by_degree = {}
-        for v in range(n):
-            by_degree.setdefault(adj[v].bit_count(), []).append(v)
-        cells = [by_degree[d] for d in sorted(by_degree)]
-        self._search(_refine(n, adj, cells), [])
+        # the first splitter, the whole vertex set, splits out the degree cells
+        self._search(_refine(n, adj, [list(range(n))]), [])
         uf = _UnionFind(n)
         for g in self.gens:
             for v in range(n):

@@ -18,10 +18,10 @@ polynomial of degree d with d real roots has a full Sturm sequence
 variations at +inf and -inf differ by d.  So the flip never fires on the
 chains built here.
 
-Because ``primitive(-r) == primitive(r)``, the Sturm chain of p is the
-remainder sequence that ``poly_gcd(p, p')`` walks, and it ends in that
-gcd.  One sequence therefore both tests p for repeated roots and, when
-it has none, is the chain the bisection counts roots with.
+``remainder_sequence`` is the one remainder sequence: it ends in the gcd
+of its arguments, and since ``primitive(-r) == primitive(r)`` the one of
+p and p' is the Sturm chain of p.  So one sequence both tests p for
+repeated roots and, when it has none, is the chain bisection counts with.
 
 Bisection needs the chain only until the interval isolates the largest
 root.  After that one sign of the square-free part decides each step:
@@ -82,26 +82,23 @@ def primitive(p):
     return [c // g for c in p]
 
 
-def poly_gcd(a, b):
-    """Greatest common divisor, returned primitive with positive lead."""
-    a, b = primitive(a), primitive(b)
-    while b:
-        a, b = b, primitive(_pseudo_divmod(a, b)[1])
-    return a
+def remainder_sequence(a, b):
+    """a, b, rem(a, b), ... made primitive; it ends in gcd(a, b)."""
+    seq = [primitive(a)]
+    b = primitive(b)
+    if b:
+        seq.append(b)
+    while len(seq[-1]) > 1:
+        r = primitive(_pseudo_divmod(seq[-2], seq[-1])[1])
+        if not r:
+            break
+        seq.append(r)
+    return seq
 
 
 def sturm_chain(p):
     """Sturm chain of p, ending in gcd(p, p') (see the module docstring)."""
-    chain = [primitive(p)]
-    d = primitive(derivative(p))
-    if d:
-        chain.append(d)
-    while len(chain[-1]) > 1:
-        r = _pseudo_divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append(primitive([-c for c in r]))
-    return chain
+    return remainder_sequence(p, derivative(p))
 
 
 def _scaled_value(p, num, den):
@@ -225,7 +222,7 @@ def compare_largest_roots(p, q) -> int:
     ip, iq = LargestRoot(p), LargestRoot(q)
     if ip.poly == iq.poly:
         return 0
-    g = sturm_chain(poly_gcd(ip.poly, iq.poly))
+    g = sturm_chain(remainder_sequence(ip.poly, iq.poly)[-1])
     if count_roots(g, ip.lo, ip.hi) and count_roots(g, iq.lo, iq.hi):
         return 0
     # endpoints cross-multiplied: x/dx < y/dy iff x * dy < y * dx

@@ -194,12 +194,10 @@ def multipartite_char_poly(parts: Sequence[int]) -> tuple[int, ...]:
     for p in parts:
         total = _poly_mul(total, [p, 1])
     acc = total
-    for i, p in enumerate(parts):
-        rest = [1]
-        for j, q in enumerate(parts):
-            if j != i:
-                rest = _poly_mul(rest, [q, 1])
-        acc = [c - p * d for c, d in zip(acc, rest + [0] * (len(acc) - len(rest)))]
+    for p in parts:
+        # prod_{j!=i} (x+n_j) is total / (x+n_i), exact: the divisor is monic
+        rest = _realroots._pseudo_divmod(total, [p, 1])[0]
+        acc = [c - p * d for c, d in zip(acc, rest + [0])]
     return tuple([0] * (n - r) + acc)
 
 

@@ -55,20 +55,48 @@ def backend(request):
     return _core_py if request.param == "python" else request.getfixturevalue("core")
 
 
-@pytest.fixture(scope="session")
-def core(tmp_path_factory):
-    """turantools._core compiled from source, not entered in sys.modules."""
+def _linker():
+    """The command that links a shared object; skips without a C compiler."""
     link = (sysconfig.get_config_var("LDSHARED") or "cc -shared").split()
     if shutil.which(link[0]) is None:
         pytest.skip(f"no C compiler ({link[0]})")
-    so = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    return [*link, *(sysconfig.get_config_var("CCSHARED") or "-fPIC").split()]
+
+
+def _build_core(directory, *flags):
+    """Compile _core.c with ``flags`` and the warnings as errors into
+    ``directory``; returns the .so path."""
+    so = directory / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
     # -Werror: a warning in _core.c fails the parity tests, not just the log
-    cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "-fPIC").split(),
-           "-O3", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+    cmd = [*_linker(), *flags, "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
            "-I", sysconfig.get_paths()["include"], str(CORE_C), "-o", str(so)]
     build = subprocess.run(cmd, capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
+    return so
+
+
+@pytest.fixture(scope="session")
+def core(tmp_path_factory):
+    """turantools._core compiled from source, not entered in sys.modules."""
+    so = _build_core(tmp_path_factory.mktemp("core"), "-O3")
     spec = importlib.util.spec_from_file_location("turantools._core", so)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+UBSAN = ("-O1", "-g", "-fsanitize=undefined", "-fno-sanitize-recover=undefined")
+
+
+@pytest.fixture(scope="session")
+def core_ubsan(tmp_path_factory):
+    """Path of _core.c built under UBSan, which aborts on the first report,
+    so callers load it in a child process.  Skips when the compiler
+    cannot link -fsanitize=undefined."""
+    directory = tmp_path_factory.mktemp("core_ubsan")
+    probe = directory / "probe.c"
+    probe.write_text("int probe(void) { return 0; }\n")
+    if subprocess.run([*_linker(), *UBSAN, str(probe), "-o", str(directory / "probe.so")],
+                      capture_output=True).returncode:
+        pytest.skip("the C compiler cannot link -fsanitize=undefined")
+    return _build_core(directory, *UBSAN)

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: labeled exhaustion, permutation
 brute force, Leibniz determinant expansion, big-integer Faddeev-LeVerrier,
-dense eigensolves, power iteration in plain numpy expressions, Sturm
-sequences over the rationals with Fraction bisection, branch and bound
-from a fixed start.  None of it shares code paths with the
-implementations under test.
+multipartite cofactors multiplied out factor by factor, dense
+eigensolves, power iteration in plain numpy expressions, Sturm sequences
+over the rationals with Fraction bisection, branch and bound from a
+fixed start.  None of it shares code paths with the implementations
+under test.
 """
 
 from __future__ import annotations
@@ -176,6 +177,26 @@ def charpoly_faddeev_bigint(g: Graph) -> tuple[int, ...]:
         assert r == 0
         coeffs_high.append(q)
     return tuple(reversed(coeffs_high))
+
+
+def multipartite_char_poly_products(parts) -> tuple[int, ...]:
+    """x^(n-r) * (prod_j (x+n_j) - sum_i n_i * prod_{j!=i} (x+n_j)), each
+    cofactor multiplied out from its r - 1 linear factors."""
+
+    def times_linear(poly, c):  # poly * (x + c), lowest degree first
+        return [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+
+    total = [1]
+    for p in parts:
+        total = times_linear(total, p)
+    acc = total
+    for i, p in enumerate(parts):
+        rest = [1]
+        for j, q in enumerate(parts):
+            if j != i:
+                rest = times_linear(rest, q)
+        acc = [c - p * d for c, d in zip(acc, rest + [0])]
+    return tuple([0] * (sum(parts) - len(parts)) + acc)
 
 
 def to_graph6_bitwise(g: Graph) -> str:
@@ -351,11 +372,14 @@ def _q_integral(p):
 
 
 def rational_sturm_sequence(coeffs):
-    """(square-free part of p, its Sturm sequence): p / gcd(p, p'), then
-    P0, P1 = P0', P_(k+1) = -rem(P_(k-1), P_k) over the rationals, each
-    member scaled by a positive factor to integer coefficients."""
+    """(square-free part of p, its Sturm sequence): p / gcd(p, p') scaled
+    to a positive lead, then P0, P1 = P0', P_(k+1) = -rem(P_(k-1), P_k)
+    over the rationals, each member scaled by a positive factor to
+    integer coefficients."""
     p = _q_trim(coeffs)
     sf = _q_divmod(p, _q_gcd(p, [i * c for i, c in enumerate(p)][1:]))[0] if p else p
+    if sf and sf[-1] < 0:  # _q_gcd's scale is arbitrary
+        sf = [-c for c in sf]
     seq = [sf, [i * c for i, c in enumerate(sf)][1:]] if len(sf) > 1 else [sf]
     while len(seq[-1]) > 1:
         r = _q_divmod(seq[-2], seq[-1])[1]

@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,42 @@ full = (1 << n) - 1 if sys.argv[2] == "complete" else 0
 start = time.perf_counter()
 form, order, _ = twin.canonical_labeling(n, tuple(full & ~(1 << v) for v in range(n)))
 print(time.perf_counter() - start, form.hex(), *order)
+"""
+
+
+# Parity of the twin loaded from argv[1] with _core_py, imported from the
+# package directory argv[2]: labelings of every class with n <= 7, of
+# n = 0 and 1, of edgeless graphs and of seeded G(n, p) with n <= 40, and
+# augmentation of the empty graph and every class with n <= 7 with no
+# pattern, K3 and F2.
+PARITY = """
+import importlib.util, random, sys
+sys.path.insert(0, sys.argv[2])
+from turantools import _core_py
+from turantools.enumeration import generate
+from turantools.patterns import parse_forbidden
+spec = importlib.util.spec_from_file_location("turantools._core", sys.argv[1])
+twin = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(twin)
+rng = random.Random(21)
+def gnp(n, p):
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return tuple(adj)
+classes = [(g.n, g.adj) for n in range(1, 8) for g in generate(n)]
+graphs = classes + [(0, ()), (1, (0,)), (40, (0,) * 40), (64, (0,) * 64)]
+graphs += [(n, gnp(n, rng.random())) for n in [rng.randint(2, 40) for _ in range(300)]]
+for n, adj in graphs:
+    assert twin.canonical_labeling(n, adj) == _core_py.canonical_labeling(n, adj), (n, adj)
+patterns = [(0, ())] + [(f.graph.n, f.graph.adj) for f in map(parse_forbidden, ("K3", "F2"))]
+for n, adj in [(0, ())] + classes:
+    for fn, fadj in patterns:
+        assert twin.augment_children(n, adj, fn, fadj) == _core_py.augment_children(
+            n, adj, fn, fadj), (n, adj, fn)
 """
 
 
@@ -110,6 +147,36 @@ def test_canonical_parity_random(core):
         assert bc == bp
         assert sorted(oc) == sorted(op) == list(range(n))
         assert rc == rp
+
+
+def test_unit_partition_refines_as_the_degree_cells():
+    # both twins start the search from the unit partition: its first
+    # splitter, the whole vertex set, splits out the degree cells
+    # (ascending degree, ascending ids inside), so refining either one
+    # gives the same partition
+    rng = random.Random(20)
+    graphs = [g for n in range(1, 8) for g in generate(n)]
+    graphs += [random_graph(rng, rng.randint(0, 24), p=rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+               for _ in range(400)]
+    graphs += [empty_graph(n) for n in (0, 1, 2, 40)]
+    graphs += [complete_graph(9), cycle_graph(10), turan_graph(12, 3), from_graph6("IheA@GUAo")]
+    for g in graphs:
+        degs = g.degrees()
+        cells = [[v for v in range(g.n) if degs[v] == d] for d in sorted(set(degs))]
+        unit = _core_py._refine(g.n, g.adj, [list(range(g.n))])
+        assert unit == _core_py._refine(g.n, g.adj, cells), g
+        if len(set(degs)) <= 1:  # regular: the degree partition is equitable
+            assert unit == cells, g
+
+
+def test_parity_under_ubsan(core_ubsan):
+    # an out-of-bounds index on a local array passes the -O3 parity tests;
+    # UBSan aborts on it, so the checks run in a child process
+    package = Path(_core_py.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", PARITY, str(core_ubsan), str(package)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def _relation_graph(n, adjacent):

@@ -47,6 +47,7 @@ from oracles import (
     charpoly_leibniz,
     eig_max,
     fraction_compare_largest_roots,
+    multipartite_char_poly_products,
     perron_vector,
     random_connected_graph,
     random_graph,
@@ -239,6 +240,15 @@ class TestMultipartitePoly:
                     multipartite_char_poly(parts)
                     == char_poly_exact(complete_multipartite(parts))
                 )
+
+    def test_matches_products_beyond_the_exact_cap(self):
+        # secular --parts takes any sizes, far past char_poly_exact's reach
+        rng = random.Random(20)
+        for _ in range(60):
+            r = rng.randint(1, 20)
+            parts = [rng.randint(1, rng.choice([3, 15, 30])) for _ in range(r)]
+            assert multipartite_char_poly(parts) == multipartite_char_poly_products(parts), parts
+        assert multipartite_char_poly([15] * 20) == multipartite_char_poly_products([15] * 20)
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -433,6 +443,11 @@ class TestLargestRoot:
             cp = char_poly_exact(g)
             ours, ref = LargestRoot(cp), FractionLargestRoot(cp)
             assert (ours.lo, ours.hi) == (ref.lo, ref.hi), to_graph6(g)
+            # member by member, each up to a positive factor
+            assert len(ours.chain) == len(ref.chain), to_graph6(g)
+            for a, b in zip(ours.chain, ref.chain):
+                assert [x * b[-1] for x in a] == [y * a[-1] for y in b], to_graph6(g)
+                assert a[-1] * b[-1] > 0, to_graph6(g)
 
     def test_refine_to_endpoints_match_reference(self):
         widths = (Fraction(1, 3), Fraction(1, 1000), INTERVAL_WIDTH, Fraction(1, 10**30))
