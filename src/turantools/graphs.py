@@ -7,6 +7,8 @@ be shared freely across threads and worker processes.
 
 from __future__ import annotations
 
+import base64
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -212,33 +214,43 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (McKay format: 63-offset 6-bit groups, column-major triangle)
+# graph6 codec (McKay format)
 # ---------------------------------------------------------------------------
 
+# base64's alphabet; graph6 writes the same 6-bit values as the bytes 63..126
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_REV8 = bytes(sum(((b >> i) & 1) << (7 - i) for i in range(8)) for b in range(256))  # bit order
+_G6_NON_BODY = re.compile("[^?-~]")  # a body byte is 63..126
 
-def _g6_encode_n(n: int) -> str:
+
+def _graph6(n: int, packed: bytes) -> str:
+    """graph6 of the n-vertex graph whose triangle ``packed`` holds.
+
+    Pair (u, v), u < v, is pair v(v-1)/2 + u of the column-major upper
+    triangle (0,1), (0,2), (1,2), (0,3), ...; the triangle integer T of
+    a graph sets bit t exactly for its edges.  ``packed`` (the layout of
+    ``CanonicalForm.bytes``) holds T's bits by eight, bit t at the high
+    end of byte t // 8.  A graph6 body groups the same bits by six, high
+    bit first, each group one byte 63..126: base64 of ``packed`` in that
+    alphabet, cut after ceil(pairs / 6) bytes.
+    """
     if n <= 62:
-        return chr(n + 63)
-    if n <= 258047:
-        return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    raise SizeCapError(f"graph6 encoding supports n <= 258047, got {n}")
-
-
-def _triangle_graph6(n: int, bits: str) -> str:
-    """graph6 of the n-vertex graph whose upper triangle, column-major
-    ((0,1), (0,2), (1,2), (0,3), ...), is the "0"/"1" string ``bits``:
-    6-bit groups, the last one padded with zeros."""
-    width = len(bits) + -len(bits) % 6
-    x = int(bits or "0", 2) << (width - len(bits))
-    body = "".join([chr(63 + ((x >> s) & 63)) for s in range(width - 6, -1, -6)])
-    return _g6_encode_n(n) + body
+        header = chr(n + 63)
+    else:
+        header = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    body = base64.b64encode(packed)[: (n * (n - 1) // 2 + 5) // 6]
+    return header + body.translate(_B64_TO_G6).decode("ascii")
 
 
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 string (bit-exact, no trailing newline)."""
-    # column v, read from row 0 down, is the low v bits of adj[v] reversed
-    bits = "".join([format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)])
-    return _triangle_graph6(g.n, bits)
+    n = g.n
+    if n > 258047:  # the four-byte header's cap, checked before the triangle is built
+        raise SizeCapError(f"graph6 encoding supports n <= 258047, got {n}")
+    t = sum((g.adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2) for v in range(1, n))
+    return _graph6(n, t.to_bytes((n * (n - 1) // 2 + 7) // 8, "little").translate(_REV8))
 
 
 def from_graph6(s: str) -> Graph:
@@ -275,22 +287,22 @@ def from_graph6(s: str) -> Graph:
             f"graph6 body for n={n} needs {expect} bytes, got {len(body)}",
             offset=pos + min(len(body), expect),
         )
-    bits = []
-    for i, ch in enumerate(body):
-        c = ord(ch) - 63
-        if not 0 <= c <= 63:
-            raise ParseError(f"invalid graph6 byte {ch!r}", offset=pos + i)
-        bits.extend((c >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bad = _G6_NON_BODY.search(body)
+    if bad:
+        raise ParseError(f"invalid graph6 byte {bad.group()!r}", offset=pos + bad.start())
+    b64 = body.encode("ascii").translate(_G6_TO_B64)
+    # 'A' pads with zero bits to whole base64 quads; see _graph6 for the layout
+    t = int.from_bytes(base64.b64decode(b64 + b"A" * (-len(b64) % 4)).translate(_REV8), "little")
+    if t >> nbits:
         raise ParseError("nonzero padding bits in graph6 body", offset=pos + len(body) - 1)
     rows = [0] * n
-    t = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[t]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            t += 1
+        low = (t >> (v * (v - 1) // 2)) & ((1 << v) - 1)
+        rows[v] |= low
+        while low:
+            u = (low & -low).bit_length() - 1
+            rows[u] |= 1 << v
+            low &= low - 1
     return Graph.from_adj(tuple(rows))
 
 
@@ -307,9 +319,8 @@ class CanonicalForm:
     bytes: bytes
 
     def graph6(self) -> str:
-        """The class's canonical graph6 string: ``bytes`` packs its bits by eight."""
-        bits = "".join(format(b, "08b") for b in self.bytes)
-        return _triangle_graph6(self.n, bits[: self.n * (self.n - 1) // 2])
+        """The class's canonical graph6 string; ``bytes`` is ``_graph6``'s layout."""
+        return _graph6(self.n, self.bytes)
 
 
 def _check_bitset_cap(n: int):

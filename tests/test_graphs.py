@@ -1,11 +1,16 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import turantools
 from turantools.enumeration import generate
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import (
@@ -24,7 +29,13 @@ from turantools.graphs import (
     turan_parts,
 )
 
-from oracles import all_labeled_graphs, brute_isomorphic, random_graph, to_graph6_bitwise
+from oracles import (
+    all_labeled_graphs,
+    brute_isomorphic,
+    canonical_graph6_relabeled,
+    random_graph,
+    to_graph6_bitwise,
+)
 
 
 def _graphs(draw_n=st.integers(0, 8)):
@@ -145,12 +156,34 @@ class TestGraph6:
 
     def test_matches_the_bitwise_encoder(self):
         # every class on up to 8 vertices, then a seeded corpus up to n = 70
+        # that decodes back and, up to the bitset cap, reaches the long
+        # header at n = 63 and 64 on the canonical path too
         for g in generate(8, n_min=1):
             assert to_graph6(g) == to_graph6_bitwise(g)
         rng = random.Random(70)
         for n in list(range(71)) + [rng.randint(1, 70) for _ in range(100)]:
             g = random_graph(rng, n, p=rng.choice([0.1, 0.5, 0.9]))
-            assert to_graph6(g) == to_graph6_bitwise(g), n
+            s = to_graph6_bitwise(g)
+            assert to_graph6(g) == s, n
+            assert from_graph6(s) == g, n
+            if n <= 64:
+                assert canonical_form(g).graph6() == canonical_graph6_relabeled(g), n
+
+    def test_size_cap_refuses_before_encoding(self):
+        # The triangle of 258 048 vertices alone takes over 4 GB, so the cap
+        # must refuse it first.  The child's address-space limit turns a
+        # late check into a quick MemoryError, not a machine out of memory.
+        child = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from turantools.graphs import Graph, to_graph6\n"
+            "to_graph6(Graph(258048))\n"
+        )
+        src = str(Path(turantools.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.stderr.endswith(
+            "SizeCapError: graph6 encoding supports n <= 258047, got 258048\n"), proc.stderr
 
     def test_header_prefix_stripped(self):
         assert from_graph6(">>graph6<<D~{") == complete_graph(5)
@@ -170,6 +203,9 @@ class TestGraph6:
         "  D~" + chr(5): 4,
         " >>graph6<<~?" + chr(5) + "?": 13,
         "   ": 3,
+        "A@": 1,  # n = 2 has one pair; the body's five other bits are padding
+        "~~??????": 0,  # the 8-byte order (n > 258047) is refused at its header
+        " ~~??????": 1,
     }
 
     @pytest.mark.parametrize("bad", list(PARSE_ERROR_OFFSETS))
