@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -55,18 +54,6 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _tol(text: str) -> float:
-    """--tol: a finite tolerance.  A NaN tolerance never passes the
-    convergence test, so every graph would run the full sweep cap."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not math.isfinite(tol):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
-    return tol
-
-
 def _fmt(x: float) -> str:
     return f"{x:.10f}"
 
@@ -102,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="spectral radius and Perron vector of one graph")
     p.add_argument("--g6", required=True)
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--exact", action="store_true", help="certify via exact polynomial bisection")
     p.add_argument("--json", action="store_true")
 

@@ -70,9 +70,10 @@ def _scan(graphs: Iterable[Graph]) -> tuple:
     ex, edge_best = -1, []
     lam, finalists = -math.inf, []
     for g in graphs:
-        if g.m > ex:
-            ex, edge_best = g.m, [g]
-        elif g.m == ex:
+        m = g.m
+        if m > ex:
+            ex, edge_best = m, [g]
+        elif m == ex:
             edge_best.append(g)
         try:
             r = spectral_radius(g, DEFAULT_TOL).lam

@@ -29,7 +29,7 @@ def _check_pair(n: int, u: int, v: int):
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("n", "adj", "m")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -41,7 +41,6 @@ class Graph:
             rows[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(rows))
-        object.__setattr__(self, "m", sum(r.bit_count() for r in rows) // 2)
 
     @classmethod
     def from_adj(cls, rows: tuple[int, ...]) -> "Graph":
@@ -49,8 +48,12 @@ class Graph:
         g = object.__new__(cls)
         object.__setattr__(g, "n", len(rows))
         object.__setattr__(g, "adj", tuple(rows))
-        object.__setattr__(g, "m", sum(r.bit_count() for r in rows) // 2)
         return g
+
+    @property
+    def m(self) -> int:
+        """Edge count, counted on each read."""
+        return sum(r.bit_count() for r in self.adj) // 2
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")

@@ -24,8 +24,7 @@ from .graphs import _G6_SPACE, Graph, _check_bitset_cap, complete_graph, from_gr
 CHROMATIC_CAP = 12
 
 _K_RE = re.compile(r"^K(\d+)$")
-_F_RE = re.compile(r"^F(\d+)$")
-_FKR_RE = re.compile(r"^F(\d+),(\d+)$")
+_F_RE = re.compile(r"^F(\d+)(?:,(\d+))?$")  # F<k> is F<k>,3
 
 
 @dataclass(frozen=True)
@@ -94,12 +93,7 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
             raise ParseError(f"complete graph needs s >= 2 in {token!r}")
         return ForbiddenSpec(token, complete_graph(s), chi=s, name=token)
     if m := _F_RE.match(token):
-        k = int(m.group(1))
-        if k < 1:
-            raise ParseError(f"need k >= 1 in {token!r}")
-        return ForbiddenSpec(token, friendship_graph(k), chi=3, name=token)
-    if m := _FKR_RE.match(token):
-        k, s = int(m.group(1)), int(m.group(2))
+        k, s = int(m.group(1)), int(m.group(2) or 3)
         if k < 1:
             raise ParseError(f"need k >= 1 in {token!r}")
         if s < 3:
@@ -145,29 +139,43 @@ def is_free(g: Graph, spec: ForbiddenSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact chromatic number (backtracking)
+# r-partitions by branch and bound: chromatic number, certified max-cut
 # ---------------------------------------------------------------------------
 
 
-def _is_k_colorable(g: Graph, k: int) -> bool:
-    order = sorted(range(g.n), key=g.degree, reverse=True)
-    colors = [-1] * g.n
+def _partition_below(g: Graph, r: int, bound: int) -> list[int] | None:
+    """The first least-cost r-assignment with fewer than ``bound``
+    internal edges, or None when every assignment has at least ``bound``.
 
-    def rec(i, used):
-        if i == g.n:
-            return True
-        v = order[i]
-        cap = min(k, used + 1)  # new colors introduced in order
-        for c in range(cap):
-            if any(colors[u] == c for u in g.neighbors(v)):
+    Branch and bound over assignments of vertices 0..n-1 in
+    symmetry-broken order: vertex i may only open class min(i, used
+    classes).  A leaf is kept only when it beats the best so far, so
+    the result is the first least-cost leaf in that order.  With
+    ``bound`` 1 it is a proper r-coloring.
+    """
+    n = g.n
+    best, best_assign = bound, None
+    assign = [0] * n
+    masks = [0] * r
+
+    def rec(v: int, used: int, cost: int):
+        nonlocal best, best_assign
+        if v == n:
+            best, best_assign = cost, assign[:]
+            return
+        row = g.adj[v]
+        for c in range(min(used + 1, r)):
+            extra = (row & masks[c]).bit_count()
+            if cost + extra >= best:
                 continue
-            colors[v] = c
-            if rec(i + 1, max(used, c + 1)):
-                return True
-        colors[v] = -1
-        return False
+            assign[v] = c
+            masks[c] |= 1 << v
+            rec(v + 1, max(used, c + 1), cost + extra)
+            masks[c] &= ~(1 << v)
 
-    return rec(0, 0)
+    if bound > 0:  # every leaf but n = 0's empty one passes the prune first
+        rec(0, 0, 0)
+    return best_assign
 
 
 def chromatic_number(g: Graph) -> int:
@@ -176,7 +184,4 @@ def chromatic_number(g: Graph) -> int:
         raise SizeCapError(
             f"exact chromatic number caps n at {CHROMATIC_CAP}, got {g.n}"
         )
-    k = 0
-    while not _is_k_colorable(g, k):
-        k += 1
-    return k
+    return next(k for k in range(g.n + 1) if _partition_below(g, k, 1) is not None)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .graphs import Graph
-from .patterns import ForbiddenSpec
+from .patterns import ForbiddenSpec, _partition_below
 from .spectral import spectral_radius
 
 AUTO_EXHAUSTIVE_BUDGET = 4**12  # assignments r**n searched exhaustively
@@ -145,39 +145,15 @@ def _climbed_greedy_cost(g: Graph, r: int) -> int:
 def _exhaustive_min_internal(g: Graph, r: int) -> list[int]:
     """Certified assignment minimizing internal edges (= max cross).
 
-    Branch and bound over assignments in symmetry-broken order: vertex
-    i may only open class min(i, used classes).  The bound starts at
-    U + 1 for a climbed greedy cost U when that is below the cost of
-    the fixed start assignment; see `max_cut_partition`.
+    `_partition_below` searches below min(start cost, U + 1), where the
+    fixed start assignment puts vertex v in class min(v, r - 1) and U is
+    a climbed greedy cost; the start stands when nothing is found.  See
+    `max_cut_partition`.
     """
-    n = g.n
-    best_assign = [min(v, r - 1) for v in range(n)]
-    best_cost = min(_internal_count(g, _part_masks(best_assign, r)),
-                    _climbed_greedy_cost(g, r) + 1)
-    assign = [0] * n
-    masks = [0] * r
-
-    def rec(v: int, used: int, cost: int):
-        nonlocal best_cost, best_assign
-        if cost >= best_cost:
-            return
-        if v == n:
-            best_cost = cost
-            best_assign = assign[:n]
-            return
-        cap = min(used + 1, r)
-        for c in range(cap):
-            extra = (g.adj[v] & masks[c]).bit_count()
-            if cost + extra >= best_cost:
-                continue
-            assign[v] = c
-            masks[c] |= 1 << v
-            rec(v + 1, max(used, c + 1), cost + extra)
-            masks[c] &= ~(1 << v)
-        return
-
-    rec(0, 0, 0)
-    return best_assign
+    start = [min(v, r - 1) for v in range(g.n)]
+    bound = min(_internal_count(g, _part_masks(start, r)), _climbed_greedy_cost(g, r) + 1)
+    found = _partition_below(g, r, bound)
+    return start if found is None else found
 
 
 def _local_search(g: Graph, r: int) -> list[int]:

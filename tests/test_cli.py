@@ -285,8 +285,6 @@ class TestExitCodes:
         [
             ["gen", "--n", "4", "--jobs", "0"],
             ["gen", "--n", "4", "--jobs", "-2"],
-            ["spectral", "--g6", "C~", "--tol", "nan"],
-            ["spectral", "--g6", "C~", "--tol", "inf"],
             ["spectral", "--g6", "C~", "--exact", "--tol", "oops"],
         ],
     )
@@ -294,6 +292,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e-20", "-1"])
+    def test_tol_out_of_range_exits_2(self, tol, capsys):
+        # spectral_radius refuses it before any output
+        code, out, err = run_cli(["spectral", "--g6", "C~", "--exact", "--tol", tol], capsys)
+        assert (code, out) == (2, "")
+        assert "tol" in err
 
     def test_stalled_power_iteration_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "ITERATION_CAP", 1)

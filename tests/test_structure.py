@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from turantools.enumeration import generate
 from turantools.graphs import (
     complete_graph,
     cycle_graph,
@@ -10,7 +11,7 @@ from turantools.graphs import (
     turan_graph,
     turan_parts,
 )
-from turantools.patterns import friendship_graph, parse_forbidden
+from turantools.patterns import chromatic_number, friendship_graph, parse_forbidden
 from turantools.spectral import turan_perron_closed
 from turantools.structure import (
     AUTO_EXHAUSTIVE_BUDGET,
@@ -91,6 +92,17 @@ class TestMaxCut:
             for r in range(2, 5):
                 expected = exhaustive_min_internal_unseeded(g, r)
                 assert _exhaustive_min_internal(g, r) == expected, (to_graph6(g), r)
+
+    def test_chromatic_number_is_the_least_zero_cost_cut(self):
+        # both callers of patterns._partition_below: chi parts admit no
+        # internal edge, chi - 1 parts force one
+        for g in generate(7, n_min=2):
+            chi = chromatic_number(g)
+            if chi < 2:
+                continue
+            assert max_cut_partition(g, chi).internal_total == 0, to_graph6(g)
+            if chi >= 3:
+                assert max_cut_partition(g, chi - 1).internal_total > 0, to_graph6(g)
 
     def test_single_moves_never_improve_certified_optimum(self):
         rng = random.Random(3)
