@@ -285,6 +285,8 @@ class TestExitCodes:
         [
             ["gen", "--n", "4", "--jobs", "0"],
             ["gen", "--n", "4", "--jobs", "-2"],
+            ["spectral", "--g6", "C~", "--tol", "oops"],
+            ["gen", "--n", "4", "--jobs", "oops"],
             ["spectral", "--g6", "C~", "--exact", "--tol", "oops"],
         ],
     )
