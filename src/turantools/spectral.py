@@ -169,16 +169,6 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     return tuple(reversed(coeffs_high))
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
 def multipartite_char_poly(parts: Sequence[int]) -> tuple[int, ...]:
     """Characteristic polynomial of the complete multipartite graph.
 
@@ -192,7 +182,7 @@ def multipartite_char_poly(parts: Sequence[int]) -> tuple[int, ...]:
     n, r = sum(parts), len(parts)
     total = [1]
     for p in parts:
-        total = _poly_mul(total, [p, 1])
+        total = [p * a + b for a, b in zip(total + [0], [0] + total)]
     acc = total
     for p in parts:
         # prod_{j!=i} (x+n_j) is total / (x+n_i), exact: the divisor is monic

@@ -57,59 +57,44 @@ def _part_masks(assign: Sequence[int], r: int) -> list[int]:
     return masks
 
 
-def _internal_count(g: Graph, masks: Iterable[int]) -> int:
-    total = 0
+def _internal_degrees(g: Graph, masks: Iterable[int]) -> list[int]:
+    """Each vertex's number of neighbors inside its own part, the parts
+    given as vertex masks."""
+    degrees = [0] * g.n
     for mask in masks:
         m = mask
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
-            total += (g.adj[v] & m).bit_count()
-    return total
+            degrees[v] = (g.adj[v] & mask).bit_count()
+    return degrees
 
 
 def _report_from_assignment(g: Graph, assign: Sequence[int], r: int, certified: bool) -> PartitionReport:
-    masks = _part_masks(assign, r)
-    parts = tuple(
-        tuple(v for v in range(g.n) if (masks[i] >> v) & 1) for i in range(r)
-    )
+    deg_in = _internal_degrees(g, _part_masks(assign, r))
+    parts = tuple(tuple(v for v in range(g.n) if assign[v] == i) for i in range(r))
     sizes = tuple(len(p) for p in parts)
-    internal = []
-    busy = []
-    indep = []
-    for i in range(r):
-        e_in = 0
-        busy_i = []
-        indep_i = []
-        for v in parts[i]:
-            deg_in = (g.adj[v] & masks[i]).bit_count()
-            e_in += deg_in
-            (busy_i if deg_in else indep_i).append(v)
-        internal.append(e_in // 2)
-        busy.append(tuple(busy_i))
-        indep.append(tuple(indep_i))
+    internal = tuple(sum(deg_in[v] for v in p) // 2 for p in parts)
     internal_total = sum(internal)
     cross = g.m - internal_total
-    pair_capacity = sum(
-        sizes[i] * sizes[j] for i in range(r) for j in range(i + 1, r)
-    )
     return PartitionReport(
         parts=parts,
         part_sizes=sizes,
         cross_edges=cross,
-        internal_edges=tuple(internal),
+        internal_edges=internal,
         internal_total=internal_total,
-        missing_cross_edges=pair_capacity - cross,
-        internal_vertices=tuple(busy),
-        independent_vertices=tuple(indep),
-        balanced=(max(sizes) - min(sizes) <= 1) if sizes else True,
+        missing_cross_edges=(g.n**2 - sum(s * s for s in sizes)) // 2 - cross,
+        internal_vertices=tuple(tuple(v for v in p if deg_in[v]) for p in parts),
+        independent_vertices=tuple(tuple(v for v in p if not deg_in[v]) for p in parts),
+        balanced=max(sizes) - min(sizes) <= 1,
         certified=certified,
     )
 
 
-def _climb(g: Graph, r: int, assign: list[int], masks: list[int]) -> None:
+def _climb(g: Graph, r: int, assign: list[int], masks: list[int]) -> int:
     """Hill climbing in place: move each vertex to the part where it has
-    the fewest neighbors until no move improves."""
+    the fewest neighbors until no move improves.  Returns the internal
+    edge count it ends at."""
     improved = True
     while improved:
         improved = False
@@ -128,6 +113,7 @@ def _climb(g: Graph, r: int, assign: list[int], masks: list[int]) -> None:
                 masks[target] |= 1 << v
                 assign[v] = target
                 improved = True
+    return sum(_internal_degrees(g, masks)) // 2
 
 
 def _climbed_greedy_cost(g: Graph, r: int) -> int:
@@ -138,8 +124,7 @@ def _climbed_greedy_cost(g: Graph, r: int) -> int:
         c = min(range(r), key=lambda c: (g.adj[v] & masks[c]).bit_count())
         assign.append(c)
         masks[c] |= 1 << v
-    _climb(g, r, assign, masks)
-    return _internal_count(g, masks)
+    return _climb(g, r, assign, masks)
 
 
 def _exhaustive_min_internal(g: Graph, r: int) -> list[int]:
@@ -151,7 +136,8 @@ def _exhaustive_min_internal(g: Graph, r: int) -> list[int]:
     `max_cut_partition`.
     """
     start = [min(v, r - 1) for v in range(g.n)]
-    bound = min(_internal_count(g, _part_masks(start, r)), _climbed_greedy_cost(g, r) + 1)
+    start_cost = sum(_internal_degrees(g, _part_masks(start, r))) // 2
+    bound = min(start_cost, _climbed_greedy_cost(g, r) + 1)
     found = _partition_below(g, r, bound)
     return start if found is None else found
 
@@ -164,9 +150,7 @@ def _local_search(g: Graph, r: int) -> list[int]:
     best_cost = None
     for _ in range(LOCAL_SEARCH_STARTS):
         assign = [rng.randrange(r) for _ in range(n)]
-        masks = _part_masks(assign, r)
-        _climb(g, r, assign, masks)
-        cost = _internal_count(g, masks)
+        cost = _climb(g, r, assign, _part_masks(assign, r))
         if best_cost is None or cost < best_cost:
             best_cost, best_assign = cost, assign[:]
     return best_assign
@@ -230,17 +214,10 @@ def degree_class_report(
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
     n = g.n
     r = len(partition.parts)
-    heavy = []
-    for i, part in enumerate(partition.parts):
-        mask = 0
-        for v in part:
-            mask |= 1 << v
-        for v in part:
-            if (g.adj[v] & mask).bit_count() >= 2 * theta * n:
-                heavy.append(v)
+    deg_in = _internal_degrees(g, (sum(1 << v for v in part) for part in partition.parts))
+    heavy = [v for v in range(n) if deg_in[v] >= 2 * theta * n]
     low_threshold = (1.0 - 1.0 / r - 3.0 * r * epsilon ** (1.0 / 3.0)) * n
     low = [v for v in range(n) if g.degree(v) <= low_threshold]
-    heavy.sort()
     return DegreeClassReport(
         theta=theta,
         epsilon=epsilon,
@@ -280,11 +257,14 @@ def structural_checks(
     graphs add on top of the Turan graph (typically a report's
     ``excess``).  Failures are findings: the facts are guaranteed only
     asymptotically.  A negative ``excess`` is a ValueError: T(n, r) is
-    F-free, so ex(n, F) is at least its edge count.
+    F-free, so ex(n, F) is at least its edge count.  So is a partition
+    whose part count is not ``spec.r``.
     """
     if excess < 0:
         raise ValueError(f"edge excess over the Turan graph cannot be negative, got {excess}")
     r = spec.r
+    if len(partition.parts) != r:
+        raise ValueError(f"partition has {len(partition.parts)} parts, F needs r={r}")
     n = g.n
     a = excess
     res = spectral_radius(g)
@@ -318,15 +298,13 @@ def structural_checks(
         max((len(b) for b in partition.internal_vertices), default=0),
         2 * a,
     )
-    full_join_violations = 0
-    for i, part in enumerate(partition.parts):
-        own = 0
-        for v in part:
-            own |= 1 << v
-        others = ((1 << n) - 1) & ~own
-        for v in partition.independent_vertices[i]:
-            if g.adj[v] & others != others:
-                full_join_violations += 1
+    # with no neighbor in its own part, v is joined to every other part
+    # iff deg(v) = n - |its part|
+    full_join_violations = sum(
+        g.degree(v) != n - size
+        for size, indep in zip(partition.part_sizes, partition.independent_vertices)
+        for v in indep
+    )
     le(
         "independent_vertices_fully_joined",
         "vertices with no internal neighbor are adjacent to every other part",

@@ -380,6 +380,31 @@ class TestPinnedOutputs:
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["diagnose", "--g6", "K_~vfb~~v}^w", "--forbid", "K4", "--a", "1", "--json"],
+             "21b4ac7e2201238606f6d3cf2e8f685d12574b8d34fdc73997434ab2c2aa6141"),
+            (["diagnose", "--g6", "L_~vf~}~f~~}~{", "--forbid", "K5", "--a", "1", "--json"],
+             "f8e7d55e2ce0498657b1e9c5d544d04e01708533fa2388fa0f0c2fb24edc111d"),
+            (["secular", "--parts", "30,20,10,7,3,1"],
+             "5a75eeba32d3fdc6afae2c862c60417484b869de4fe4e4ba3d5c3a35556c769d"),
+            (["turan", "--n", "7", "--r", "3"],
+             "24bdd2f36d58e94e7b0ae8714e6db06c3d30e88ecf62c46651644ed066581eab"),
+            (["spectral", "--g6", "G?~vf_", "--exact", "--json"],
+             "18effb6b73878f6ed4822b38e19d313d02505bb10e829e9aa1814718b80dc50c"),
+        ],
+        ids=["diagnose-T(12,3)+e-certified", "diagnose-T(13,4)+e-local",
+             "secular", "turan", "spectral-K44-exact"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        # T(12,3) plus a part edge is searched exhaustively; T(13,4) plus a
+        # part edge has 4^13 > AUTO_EXHAUSTIVE_BUDGET r-assignments, so it
+        # takes the seeded local search
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
 
 def test_closed_stdout_ends_quietly():
     # a reader that stops after one line (``| head -1``): exit 0, nothing

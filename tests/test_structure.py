@@ -16,7 +16,7 @@ from turantools.spectral import turan_perron_closed
 from turantools.structure import (
     AUTO_EXHAUSTIVE_BUDGET,
     _exhaustive_min_internal,
-    _internal_count,
+    _internal_degrees,
     _local_search,
     _part_masks,
     degree_class_report,
@@ -72,8 +72,8 @@ class TestMaxCut:
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 7))
             r = rng.randint(2, 3)
-            ex = _internal_count(g, _part_masks(_exhaustive_min_internal(g, r), r))
-            ls = _internal_count(g, _part_masks(_local_search(g, r), r))
+            ex = sum(_internal_degrees(g, _part_masks(_exhaustive_min_internal(g, r), r))) // 2
+            ls = sum(_internal_degrees(g, _part_masks(_local_search(g, r), r))) // 2
             assert ex <= ls
 
     def test_seeded_bound_returns_the_unseeded_assignment(self):
@@ -228,6 +228,15 @@ class TestStructuralChecks:
         with pytest.raises(ValueError, match="cannot be negative"):
             structural_checks(g, K3, -3, partition)
         assert len(structural_checks(g, K3, 0, partition)) == 7
+
+    def test_part_count_must_match_r(self):
+        # K3 has r = 2: a 3-partition would mix r = 2 in the spectral bound
+        # with an empty third part in part_balance
+        g = turan_graph(6, 2)
+        with pytest.raises(ValueError, match="3 parts"):
+            structural_checks(g, K3, 0, max_cut_partition(g, 3))
+        with pytest.raises(ValueError, match="2 parts"):
+            structural_checks(g, K4, 0, max_cut_partition(g, 2))
 
     def test_json_shape(self):
         g = turan_graph(6, 2)
