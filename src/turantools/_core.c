@@ -177,18 +177,11 @@ static void record_leaf(CanonState *st, const int *lab)
     }
 }
 
-static int uf_find(int *parent, int v)
-{
-    while (parent[v] != v) {
-        parent[v] = parent[parent[v]];
-        v = parent[v];
-    }
-    return v;
-}
-
 /* Merge the orbits of generators *applied.. that fix the current prefix
- * pointwise.  Each class's root is its least vertex. */
-static void absorb_gens(const CanonState *st, int *parent, int *applied)
+ * pointwise.  orbits[v] is the least vertex of v's orbit: where v and
+ * g[v] differ in label, every vertex with the larger label takes the
+ * smaller. */
+static void absorb_gens(const CanonState *st, int *orbits, int *applied)
 {
     for (; *applied < st->ngens; (*applied)++) {
         const int *g = st->gens + (size_t)*applied * st->n;
@@ -198,9 +191,11 @@ static void absorb_gens(const CanonState *st, int *parent, int *applied)
         if (k < st->depth)
             continue;
         for (int v = 0; v < st->n; v++) {
-            int ra = uf_find(parent, v), rb = uf_find(parent, g[v]);
-            if (ra != rb)
-                parent[ra > rb ? ra : rb] = ra < rb ? ra : rb;
+            int a = orbits[v], b = orbits[g[v]];
+            int lo = a < b ? a : b, hi = a < b ? b : a;
+            for (int u = 0; lo != hi && u < st->n; u++)
+                if (orbits[u] == hi)
+                    orbits[u] = lo;
         }
     }
 }
@@ -208,7 +203,7 @@ static void absorb_gens(const CanonState *st, int *parent, int *applied)
 static void search(CanonState *st, const int *lab_in, const char *ptn_in)
 {
     int n = st->n;
-    int lab[MAXN], child_lab[MAXN], parent[MAXN];
+    int lab[MAXN], child_lab[MAXN], orbits[MAXN];
     char ptn[MAXN], child_ptn[MAXN];
     int applied = 0, a = 0, b = 0;
     u64 cell = 0;
@@ -230,16 +225,16 @@ static void search(CanonState *st, const int *lab_in, const char *ptn_in)
     for (int k = a; k <= b; k++)
         cell |= bit(lab[k]);
     for (int i = 0; i < n; i++)
-        parent[i] = i;
+        orbits[i] = i;
     /* Candidates in ascending vertex order.  An automorphism fixing the
-     * prefix keeps every cell, so v's class lies in the target cell, and
-     * its root, the least vertex, came earlier: a root other than v was
-     * expanded or joined to an expanded vertex. */
+     * prefix keeps every cell, so v's orbit lies in the target cell, and
+     * its label orbits[v], the least vertex, came earlier: a label other
+     * than v was expanded or joined to an expanded vertex. */
     for (; cell && !st->nomem; cell &= cell - 1) {
         int v = lowbit(cell), pos = a + 1;
         /* pick up generators found so far, by earlier siblings too */
-        absorb_gens(st, parent, &applied);
-        if (uf_find(parent, v) != v)
+        absorb_gens(st, orbits, &applied);
+        if (orbits[v] != v)
             continue;
         /* individualize v at the front of the target cell */
         memcpy(child_lab, lab, (size_t)n * sizeof(int));
@@ -266,7 +261,7 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
                          unsigned char *form_out, int **gens_out, int *ngens_out)
 {
     CanonState st;
-    int lab[MAXN], parent[MAXN], applied = 0;
+    int lab[MAXN], applied = 0;
     char ptn[MAXN];
     if (gens_out != NULL) {
         *gens_out = NULL;
@@ -299,16 +294,14 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
     }
     /* at depth 0 every generator fixes the (empty) prefix */
     for (int v = 0; v < n; v++)
-        parent[v] = v;
-    absorb_gens(&st, parent, &applied);
+        orbits_out[v] = v;
+    absorb_gens(&st, orbits_out, &applied);
     if (gens_out != NULL) {
         *gens_out = st.gens;
         *ngens_out = st.ngens;
     } else {
         free(st.gens);
     }
-    for (int v = 0; v < n; v++)
-        orbits_out[v] = uf_find(parent, v);
     memcpy(order_out, st.best_order, (size_t)n * sizeof(int));
     memcpy(form_out, st.best, st.nbytes);
     return st.nbytes;

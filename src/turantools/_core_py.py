@@ -87,25 +87,16 @@ def _refine(n, adj, cells):
     return cells
 
 
-class _UnionFind:
-    """Disjoint sets of vertices; each set's root is its least vertex."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, v):
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _join_orbits(orbits, g):
+    """Merge the orbits, each labeled by its least vertex, that ``g`` joins:
+    where v and g[v] differ in label, the larger label becomes the smaller."""
+    for v, w in enumerate(g):
+        a, b = orbits[v], orbits[w]
+        if a != b:
+            lo, hi = (a, b) if a < b else (b, a)
+            for u, label in enumerate(orbits):
+                if label == hi:
+                    orbits[u] = lo
 
 
 class _CanonSearch:
@@ -123,13 +114,10 @@ class _CanonSearch:
         self._seed_twins()
         # the first splitter, the whole vertex set, splits out the degree cells
         self._search(_refine(n, adj, [list(range(n))]), [])
-        uf = _UnionFind(n)
+        # at depth 0 every generator fixes the (empty) prefix
+        orbits = list(range(n))
         for g in self.gens:
-            for v in range(n):
-                uf.union(v, g[v])
-        # tuple() of a generator resizes its result outside the tuple free
-        # list, and freeing those tuples fills it: build from a list
-        orbits = [uf.find(v) for v in range(n)]
+            _join_orbits(orbits, g)
         return self.best, tuple(self.best_order), tuple(orbits)
 
     def _seed_twins(self):
@@ -182,25 +170,19 @@ class _CanonSearch:
         if target < 0:
             self._record_leaf([cell[0] for cell in cells])
             return
-        uf = _UnionFind(self.n)
+        orbits = list(range(self.n))
         applied = 0
-
-        def absorb_gens():
-            nonlocal applied
-            while applied < len(self.gens):
-                g = self.gens[applied]
-                applied += 1
-                if all(g[p] == p for p in prefix):
-                    for v in range(self.n):
-                        uf.union(v, g[v])
-
-        # An automorphism fixing the prefix keeps every cell, so v's class
-        # lies in the target cell, and its root, the least vertex, came
-        # earlier in ascending order: a root other than v was expanded or
-        # joined to an expanded vertex.
+        # An automorphism fixing the prefix keeps every cell, so v's orbit
+        # lies in the target cell, and its label orbits[v], the least
+        # vertex, came earlier in ascending order: a label other than v
+        # was expanded or joined to an expanded vertex.
         for v in sorted(cells[target]):
-            absorb_gens()
-            if uf.find(v) != v:
+            # pick up generators found so far, by earlier siblings too
+            for g in self.gens[applied:]:
+                if all(g[p] == p for p in prefix):
+                    _join_orbits(orbits, g)
+            applied = len(self.gens)
+            if orbits[v] != v:
                 continue
             child = (
                 cells[:target]

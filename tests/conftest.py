@@ -68,7 +68,8 @@ def _build_core(directory, *flags):
     ``directory``; returns the .so path."""
     so = directory / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
     # -Werror: a warning in _core.c fails the parity tests, not just the log
-    cmd = [*_linker(), *flags, "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+    cmd = [*_linker(), *flags, "-Wall", "-Wextra", "-Wno-unused-parameter",
+           "-Wshadow", "-Wcast-qual", "-Wvla", "-Wformat=2", "-Werror",
            "-I", sysconfig.get_paths()["include"], str(CORE_C), "-o", str(so)]
     build = subprocess.run(cmd, capture_output=True, text=True)
     assert build.returncode == 0, build.stderr

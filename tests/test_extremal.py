@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
 
@@ -148,6 +149,17 @@ class TestSpectralEx:
         # a radius stopped at DEFAULT_TOL is within sqrt(n) * DEFAULT_TOL
         # of an eigenvalue of A, for every n generation allows
         assert 2 * math.sqrt(GENERATION_CAP) * DEFAULT_TOL <= TIE_WINDOW
+
+    def test_scan_radii_lie_at_the_certified_root(self):
+        # the residual bound places a scan radius near *some* eigenvalue of
+        # A; on this corpus it is the largest one, so any class whose exact
+        # radius equals lambda* falls inside the tie window
+        graphs = [*generate(7, n_min=1), *generate(8, F2)]
+        assert len(graphs) == 3542
+        half = Fraction(TIE_WINDOW) / 2
+        for g in graphs:
+            lo, hi = spectral.certified_radius_interval(g)
+            assert lo - half < Fraction(spectral_radius(g, DEFAULT_TOL).lam) <= hi + half, g
 
 
 class TestReports:
