@@ -37,12 +37,20 @@ def _expand_parent(args):
     return _kernels.augment_children(*args)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU.  CPU quotas (cgroups) are not read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _levels(n: int, prune: ForbiddenSpec | None, jobs: int) -> Iterator[list]:
     """Each level 1..n, sorted by canonical form, from one walk and one pool."""
     # a pattern larger than the last level never occurs, so it prunes nothing
     fn, fadj = (prune.graph.n, prune.graph.adj) if prune and prune.graph.n <= n else (0, ())
     level = [((), b"")]  # the empty graph, root of the augmentation tree
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, _usable_cpus())
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for size in range(n):

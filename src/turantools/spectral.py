@@ -5,15 +5,19 @@ decides a comparison can be escalated to exact integer polynomial
 arithmetic (`compare_exact`), so argmax sets are never settled by
 float noise.  Characteristic polynomials are computed in int64, which
 `char_poly_exact` proves cannot overflow up to EXACT_CAP vertices.
+
+This is the only module that uses numpy, and it imports numpy inside
+the functions that need it, so `import turantools` and the commands
+that never compute a radius or a polynomial (`gen`, `turan`,
+`secular`) do not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from . import _realroots
 from .errors import NonConvergenceError, SizeCapError
@@ -60,6 +64,8 @@ def _power_iteration(sub: np.ndarray, tol: float):
     sweep count equal theirs bit for bit.  ``tests/oracles.py`` keeps
     the plain form as ``spectral_radius_reference``.
     """
+    import numpy as np
+
     nc = sub.shape[0]
     x = np.ones(nc)
     y = np.empty(nc)
@@ -84,6 +90,8 @@ def _power_iteration(sub: np.ndarray, tol: float):
 
 def _adjacency_matrix(g: Graph, dtype) -> np.ndarray:
     """The 0/1 adjacency matrix of g, for any n (rows may pass 64 bits)."""
+    import numpy as np
+
     width = (g.n + 7) // 8
     raw = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj), np.uint8)
     bits = np.unpackbits(raw.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
@@ -97,10 +105,12 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     per-component maximum and embeds the winning component's vector
     padded with zeros.
     """
-    if not MIN_TOL <= tol < np.inf:
+    if not MIN_TOL <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= {MIN_TOL}, got {tol}")
     if g.n == 0:
         raise ValueError("spectral radius of the empty graph is undefined")
+    import numpy as np
+
     a = _adjacency_matrix(g, float)
     best = None  # (lam, comp, x, residual)
     total_sweeps = 0
@@ -156,6 +166,8 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     n = g.n
     if n > EXACT_CAP:
         raise SizeCapError(f"exact characteristic polynomial caps n at {EXACT_CAP}")
+    import numpy as np
+
     a = _adjacency_matrix(g, np.int64)
     m = np.zeros((n, n), dtype=np.int64)
     d = np.arange(n)

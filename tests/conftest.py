@@ -28,8 +28,9 @@ def announce(capsys):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Run enumeration pools in-process on a 3-CPU machine; the list
-    records the worker count of every pool started."""
+    """Run enumeration pools in-process on a 3-CPU machine whose three
+    CPUs this process may all run on; the list records the worker count
+    of every pool started."""
     from turantools import enumeration
 
     started = []
@@ -46,6 +47,8 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
     return started
 
 

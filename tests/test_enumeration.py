@@ -64,6 +64,15 @@ class TestGenerate:
         assert sum(1 for _ in generate(5, jobs=10**6)) == 34
         assert pool_starts == [3]
 
+    @pytest.mark.parametrize("affinity, started", [({0, 1}, [2]), ({0}, [])])
+    def test_worker_count_is_capped_at_usable_cpus(self, pool_starts, monkeypatch,
+                                                   affinity, started):
+        # three CPUs on the machine, fewer that this process may run on
+        monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: affinity,
+                            raising=False)
+        assert sum(1 for _ in generate(5, jobs=10**6)) == 34
+        assert pool_starts == started
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_range_is_the_concatenation_of_sizes(self, jobs):
         ranged = [to_graph6(g) for g in generate(7, K3, jobs, n_min=3)]

@@ -1,4 +1,4 @@
-"""The package's export list and its build script."""
+"""The package's export list, its import cost and its build script."""
 
 import os
 import shutil
@@ -22,6 +22,36 @@ def test_star_import_binds_exactly_all():
 
 def test_all_is_sorted():
     assert turantools.__all__ == sorted(turantools.__all__)
+
+
+# Runs in a fresh interpreter, since this one has numpy loaded already.
+_NUMPY_PROBE = """
+import sys
+import turantools
+from turantools import cli
+
+assert "numpy" not in sys.modules, "import turantools"
+for argv, code in [
+    (["gen", "--n", "5"], 0),
+    (["gen", "--n", "6", "--forbid", "K3", "--jobs", "2"], 0),
+    (["turan", "--n", "7", "--r", "3"], 0),
+    (["secular", "--parts", "3,2,2"], 0),
+    (["gen", "--n", "5", "--forbid", "g6:!!"], 3),
+    (["spectral", "--g6", "D~{", "--tol", "nan"], 2),
+]:
+    assert cli.main(argv) == code, argv
+    assert "numpy" not in sys.modules, argv
+assert cli.main(["spectral", "--g6", "D~{"]) == 0
+assert "numpy" in sys.modules, "spectral"
+"""
+
+
+def test_numpy_loads_only_for_spectral_work():
+    # the last step loads numpy, so the probe cannot pass without running
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 def _copy_tree(tmp_path):
