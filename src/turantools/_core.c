@@ -374,34 +374,48 @@ static int embed(int gn, const u64 *gadj, const int *gdegs, int fn, const int *o
     return 0;
 }
 
-/* The pattern's search orders, one per start vertex: order[f] begins
- * with f.  Built once per pattern, used for every anchored test. */
+/* The pattern's search orders, one per start: order[k] begins with the
+ * least vertex of the k-th automorphism orbit.  If sigma is an
+ * automorphism and a copy maps f to the anchor, composing it with
+ * sigma^-1 gives a copy that maps sigma(f) there, so one start per orbit
+ * decides the same answer.  Built once per pattern, used for every
+ * anchored test. */
 typedef struct {
-    int fn;
+    int fn, nstarts;
     int fdegs[MAXN];
     int order[MAXN][MAXN];
     u64 backmask[MAXN][MAXN];
 } AnchoredPlan;
 
-static void plan_anchored(int fn, const u64 *fadj, AnchoredPlan *plan)
+/* Returns -1 with MemoryError set when the pattern's labeling fails. */
+static int plan_anchored(int fn, const u64 *fadj, AnchoredPlan *plan)
 {
+    int order[MAXN], orbits[MAXN];
+    unsigned char form[MAXBYTES];
+    if (run_canonical(fn, fadj, order, orbits, form, NULL, NULL) < 0)
+        return -1;
     plan->fn = fn;
+    plan->nstarts = 0;
     for (int v = 0; v < fn; v++)
         plan->fdegs[v] = popcount(fadj[v]);
     for (int f = 0; f < fn; f++)
-        pattern_order(fn, fadj, plan->fdegs, f, plan->order[f], plan->backmask[f]);
+        if (orbits[f] == f) {
+            pattern_order(fn, fadj, plan->fdegs, f, plan->order[plan->nstarts],
+                          plan->backmask[plan->nstarts]);
+            plan->nstarts++;
+        }
+    return 0;
 }
 
-/* Some copy of the pattern in the host uses vertex anchor. */
+/* Some copy of the pattern in the host uses vertex anchor; the callers
+ * ensure 0 < plan->fn <= gn. */
 static int anchored(int gn, const u64 *gadj, const AnchoredPlan *plan, int anchor)
 {
     int gdegs[MAXN];
-    if (plan->fn == 0 || plan->fn > gn)
-        return 0;
     for (int v = 0; v < gn; v++)
         gdegs[v] = popcount(gadj[v]);
-    for (int f = 0; f < plan->fn; f++)
-        if (embed(gn, gadj, gdegs, plan->fn, plan->order[f], plan->backmask[f], plan->fdegs,
+    for (int k = 0; k < plan->nstarts; k++)
+        if (embed(gn, gadj, gdegs, plan->fn, plan->order[k], plan->backmask[k], plan->fdegs,
                   anchor))
             return 1;
     return 0;
@@ -628,7 +642,8 @@ static PyObject *py_contains_subgraph_anchored(PyObject *self, PyObject *args)
     }
     if (load_adj(gadj_obj, gadj, gn) < 0 || load_adj(fadj_obj, fadj, fn) < 0)
         return NULL;
-    plan_anchored(fn, fadj, &plan);
+    if (plan_anchored(fn, fadj, &plan) < 0)
+        return NULL;
     return PyBool_FromLong(anchored(gn, gadj, &plan, anchor));
 }
 
@@ -661,7 +676,7 @@ PyDoc_STRVAR(augment_children_doc,
 
 static PyObject *py_augment_children(PyObject *self, PyObject *args)
 {
-    int n, fn, top = 0, order[MAXN], orbits[MAXN];
+    int n, fn, fits, top = 0, order[MAXN], orbits[MAXN];
     u64 parent[MAXN], child[MAXN], fadj[MAXN], tops = 0;
     unsigned char form[MAXBYTES];
     AnchoredPlan plan;
@@ -679,7 +694,10 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         return NULL;
     if (load_adj(adj_obj, parent, n) < 0 || load_adj(fadj_obj, fadj, fn) < 0)
         return NULL;
-    plan_anchored(fn, fadj, &plan);
+    /* no child holds a pattern with more vertices: then no plan, no tests */
+    fits = fn && fn <= n + 1;
+    if (fits && plan_anchored(fn, fadj, &plan) < 0)
+        return NULL;
     /* the parent's generators: only the least mask of each orbit is expanded */
     orbs.n = n;
     if (run_canonical(n, parent, order, orbits, form, &orbs.gens, &orbs.ngens) < 0)
@@ -719,7 +737,7 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         child[n] = mask;
         for (u64 m = mask; m; m &= m - 1)
             child[lowbit(m)] |= bit(n);
-        if (fn && anchored(n + 1, child, &plan, n))
+        if (fits && anchored(n + 1, child, &plan, n))
             continue;
         nbytes = run_canonical(n + 1, child, order, orbits, form, NULL, NULL);
         if (nbytes < 0)

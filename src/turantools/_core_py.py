@@ -222,13 +222,18 @@ def canonical_bytes(n, adj):
 
 @lru_cache(maxsize=64)
 def _anchored_plan(fn, fadj):
-    """The pattern's degrees and its search order from every start vertex.
+    """The pattern's degrees and its search orders, one per start: the
+    least vertex of each automorphism orbit.
 
-    Memoized: callers pass ``fadj`` as a tuple, and a walk asks for the
-    same few patterns at every candidate.
+    If sigma is an automorphism of the pattern and a copy maps f to the
+    anchor, composing it with sigma^-1 gives a copy that maps sigma(f)
+    there, so one start per orbit decides the same answer.  Memoized:
+    callers pass ``fadj`` as a tuple, and a walk asks for the same few
+    patterns at every candidate.
     """
     degs = tuple(fadj[v].bit_count() for v in range(fn))
-    return degs, tuple(_pattern_order(fn, fadj, degs, f) for f in range(fn))
+    orbits = _CanonSearch(fn, fadj).run()[2]
+    return degs, tuple(_pattern_order(fn, fadj, degs, f) for f in range(fn) if orbits[f] == f)
 
 
 def _pattern_order(fn, fadj, degs, start):

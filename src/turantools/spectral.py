@@ -52,17 +52,20 @@ def _power_iteration(sub: np.ndarray, tol: float):
 
     The returned vector is all ones or scaled to max exactly 1.0.
 
-    Each sweep runs at numpy's call floor: the buffers ``y`` and ``d``
-    are allocated once per call and every step writes into them or into
-    ``x``, so no sweep makes a temporary array or goes through the
-    ``np.max`` / ``np.abs`` wrappers.  Invariant: every sweep does the
-    same IEEE operations in the same order as the plain expressions
-    ``y = A @ x``, ``lam = (x @ y) / (x @ x)``,
-    ``residual = max(|y - lam x|)``, ``x = (y + x) / max(y + x)``, and
-    its products go to the same BLAS routines (dgemv for ``A x``, ddot
-    for the Rayleigh quotient), so ``lam``, ``x``, ``residual`` and the
-    sweep count equal theirs bit for bit.  ``tests/oracles.py`` keeps
-    the plain form as ``spectral_radius_reference``.
+    Invariant: ``lam``, ``x``, ``residual`` and the sweep count equal
+    those of the plain expressions ``y = A @ x``,
+    ``lam = (x @ y) / (x @ x)``, ``residual = max(|y - lam x|)``,
+    ``x = (y + x) / max(y + x)`` bit for bit; ``tests/oracles.py`` keeps
+    that form as ``spectral_radius_reference``.  The products go to the
+    same BLAS routines (dgemv for ``A x``, ddot for the Rayleigh
+    quotient), and the buffers ``y`` and ``d`` are allocated once per
+    call.  A sweep first forms one entry, ``|y[j] - lam x[j]|``, in
+    Python floats: the same correctly rounded operations as numpy's
+    elementwise ones, so it is entry j of the residual vector.  Above
+    ``tol`` it proves the residual is too, and the sweep goes on without
+    the rest; otherwise the whole vector is formed as before, and j
+    moves to its largest entry.  The normaliser ``max(x.tolist())`` is
+    exact and sees no NaN: x >= 0 with max 1, so y + x >= x.
     """
     import numpy as np
 
@@ -70,17 +73,20 @@ def _power_iteration(sub: np.ndarray, tol: float):
     x = np.ones(nc)
     y = np.empty(nc)
     d = np.empty(nc)
+    j = 0
     for sweep in range(1, ITERATION_CAP + 1):
         sub.dot(x, out=y)
         lam = float(x.dot(y)) / float(x.dot(x))
-        np.multiply(x, lam, out=d)
-        np.subtract(y, d, out=d)
-        np.absolute(d, out=d)
-        residual = float(d.max())
-        if residual <= tol:
-            return lam, x, residual, sweep
+        if abs(y.item(j) - lam * x.item(j)) <= tol:
+            np.multiply(x, lam, out=d)
+            np.subtract(y, d, out=d)
+            np.absolute(d, out=d)
+            residual = float(d.max())
+            if residual <= tol:
+                return lam, x, residual, sweep
+            j = int(d.argmax())
         np.add(y, x, out=x)  # (A + I) x
-        np.divide(x, x.max(), out=x)
+        np.divide(x, max(x.tolist()), out=x)
     raise NonConvergenceError(
         f"power iteration failed to reach tol={tol} in {ITERATION_CAP} sweeps",
         best=lam,

@@ -117,6 +117,24 @@ def contains_by_injections(g: Graph, f: Graph) -> bool:
     return False
 
 
+def contains_by_injections_anchored(g: Graph, f: Graph, anchor: int) -> bool:
+    """Is there a copy of f in g whose image holds ``anchor``?  Injections
+    are extended one pattern vertex at a time, in vertex order, and each
+    is dropped at the first pattern edge it misses."""
+
+    def extend(image):
+        u = len(image)
+        if u == f.n:
+            return anchor in image
+        return any(
+            extend(image + [w])
+            for w in range(g.n)
+            if w not in image and all(g.has_edge(image[t], w) for t in f.neighbors(u) if t < u)
+        )
+
+    return f.n <= g.n and extend([])
+
+
 def max_edges_labeled(n, free_predicate) -> int:
     """ex(n, .) by labeled brute force over all graphs."""
     best = -1

@@ -37,8 +37,16 @@ from oracles import (
     _extend_automorphism,
     automorphisms,
     contains_by_injections,
+    contains_by_injections_anchored,
     random_graph,
 )
+
+# The anchored kernels try one start per automorphism orbit of the
+# pattern.  Patterns with large groups (K3-K5, F2, F3, F2,4, C5 `DUW`,
+# W5 `D]{`), then ones with a degree class of two or more orbits (the
+# house `DUw`, the kite `DTw`, `DQw`).
+SYMMETRIC_PATTERNS = ("K3", "K4", "K5", "F2", "F3", "F2,4",
+                      "g6:DUW", "g6:DUw", "g6:DTw", "g6:DQw", "g6:D]{")
 
 # Label K_n (argv[2] == "complete") or the edgeless graph on n = argv[3]
 # vertices with the twin loaded from argv[1]; prints the seconds the
@@ -58,11 +66,12 @@ print(time.perf_counter() - start, form.hex(), *order)
 
 # Parity of the twin loaded from argv[1] with _core_py, imported from the
 # package directory argv[2]: labelings of every class with n <= 7, of
-# n = 0 and 1, of edgeless graphs and of seeded G(n, p) with n <= 40, and
+# n = 0 and 1, of edgeless graphs and of seeded G(n, p) with n <= 40,
 # augmentation of the empty graph and every class with n <= 7 with no
-# pattern, K3 and F2.
+# pattern, K3 and F2, and anchored containment of the patterns argv[3:]
+# at every anchor of the (n, adj) hosts listed on stdin.
 PARITY = """
-import importlib.util, random, sys
+import ast, importlib.util, random, sys
 sys.path.insert(0, sys.argv[2])
 from turantools import _core_py
 from turantools.enumeration import generate
@@ -89,6 +98,13 @@ for n, adj in [(0, ())] + classes:
     for fn, fadj in patterns:
         assert twin.augment_children(n, adj, fn, fadj) == _core_py.augment_children(
             n, adj, fn, fadj), (n, adj, fn)
+hosts = ast.literal_eval(sys.stdin.read())
+for f in map(parse_forbidden, sys.argv[3:]):
+    for n, adj in hosts:
+        for anchor in range(n):
+            args = (n, adj, f.graph.n, f.graph.adj, anchor)
+            assert twin.contains_subgraph_anchored(*args) == _core_py.contains_subgraph_anchored(
+                *args), (f.source, adj, anchor)
 """
 
 
@@ -102,6 +118,16 @@ def _label_in_subprocess(twin, shape, n):
     assert proc.returncode == 0, proc.stderr
     seconds, form_hex, *order = proc.stdout.split()
     return float(seconds), bytes.fromhex(form_hex), tuple(map(int, order))
+
+
+def _anchored_hosts():
+    """150 seeded G(n, p) hosts with n <= 8, dense enough to hold K5."""
+    rng = random.Random(42)
+    hosts = []
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        hosts.append(random_graph(rng, n, p=rng.choice([0.4, 0.6, 0.8])))
+    return hosts
 
 
 def _symmetric_hosts():
@@ -173,8 +199,10 @@ def test_parity_under_ubsan(core_ubsan):
     # an out-of-bounds index on a local array passes the -O3 parity tests;
     # UBSan aborts on it, so the checks run in a child process
     package = Path(_core_py.__file__).parents[1]
-    proc = subprocess.run([sys.executable, "-c", PARITY, str(core_ubsan), str(package)],
-                          capture_output=True, text=True, timeout=300)
+    hosts = repr([(g.n, g.adj) for g in _anchored_hosts()])
+    proc = subprocess.run([sys.executable, "-c", PARITY, str(core_ubsan), str(package),
+                           *SYMMETRIC_PATTERNS],
+                          input=hosts, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
 
@@ -228,6 +256,21 @@ def test_containment_parity(core):
         at = _core_py.contains_subgraph_anchored(gn, masked, f.n, f.adj, anchor)
         for twin in (_core_py, core):
             assert twin.contains_subgraph_anchored(gn, g.adj, f.n, f.adj, anchor) == at
+
+
+def test_anchored_containment_matches_oracle_on_symmetric_patterns(backend):
+    # one start per orbit of the pattern: an embedding with start f at the
+    # anchor, composed with an automorphism, puts any vertex of f's orbit
+    # there.  A start per degree class would miss copies in the house,
+    # kite and DQw, whose degree classes hold more than one orbit.
+    hosts = _anchored_hosts()
+    for spec in SYMMETRIC_PATTERNS:
+        f = parse_forbidden(spec).graph
+        for g in hosts:
+            for anchor in range(g.n):
+                assert backend.contains_subgraph_anchored(
+                    g.n, g.adj, f.n, f.adj, anchor
+                ) == contains_by_injections_anchored(g, f, anchor), (spec, to_graph6(g), anchor)
 
 
 def test_containment_parity_with_list_rows(core):

@@ -134,7 +134,9 @@ def _reference_corpus():
     """Every class with n <= 7 (the F2-free classes 5..7 among them) and
     the F2-free classes on 8 vertices; then seeded G(n,p) graphs with
     n = 9..24, disconnected ones and ones with isolated vertices among
-    them."""
+    them; then long vectors: seeded G(n,p) with n = 40..200, where the
+    residual entry a sweep tests first moves and the normaliser runs on
+    long lists, and one with isolated vertices."""
     classes = list(generate(7, n_min=1)) + list(generate(8, prune=parse_forbidden("F2")))
     rng = random.Random(19)
     seeded = []
@@ -142,7 +144,9 @@ def _reference_corpus():
         for p in (0.08, 0.3, 0.6):
             seeded.append(random_graph(rng, n, p))
         seeded.append(disjoint_union(random_graph(rng, n - 3, 0.5), empty_graph(3)))
-    return classes, seeded
+    long = [random_graph(rng, n, p) for n in (40, 90, 200) for p in (0.05, 0.3)]
+    long.append(disjoint_union(random_graph(rng, 120, 0.05), empty_graph(4)))
+    return classes, seeded, long
 
 
 class TestBufferedSweepsMatchReference:
@@ -151,7 +155,7 @@ class TestBufferedSweepsMatchReference:
     count, bit for bit, so no digit of any report moves."""
 
     def test_every_field_is_bit_identical(self):
-        classes, seeded = _reference_corpus()
+        classes, seeded, long = _reference_corpus()
         shapes = Counter(
             "isolated" if 0 in g.degrees() else "disconnected" if not g.is_connected() else "connected"
             for g in seeded
@@ -159,6 +163,9 @@ class TestBufferedSweepsMatchReference:
         assert min(shapes.values()) >= 5, shapes
         runs = [(g, DEFAULT_TOL) for g in classes + seeded]
         runs += [(g, tol) for g in classes[::9] + seeded for tol in (1e-6, MIN_TOL)]
+        # MIN_TOL is below the rounding floor of |y - lam x| once lam nears
+        # 60 (G(200, 0.3)), so the long vectors run at the two larger ones
+        runs += [(g, tol) for g in long for tol in (DEFAULT_TOL, 1e-6)]
         for g, tol in runs:
             assert _bits(spectral_radius(g, tol)) == _bits(spectral_radius_reference(g, tol)), (
                 to_graph6(g), tol)
