@@ -223,12 +223,19 @@ def _cmd_spectral(args) -> int:
 
 
 def _parse_parts(text: str) -> list[int]:
-    try:
-        parts = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ParseError(f"part sizes must be integers: {text!r}") from exc
-    if not parts:
-        raise ParseError(f"no part sizes in {text!r}")
+    """--parts: comma-separated fields of ASCII digits, blanks around each.
+
+    A bad field's error carries the offset where it starts: the fields
+    before it are ASCII, so its character offset is its byte offset.
+    """
+    parts, pos = [], 0
+    for field in text.split(","):
+        tok = field.strip(" \t")
+        if not (tok.isascii() and tok.isdigit()):
+            start = pos + len(field) - len(field.lstrip(" \t"))
+            raise ParseError(f"part size {tok!r} is not a decimal integer", offset=start)
+        parts.append(int(tok))
+        pos += len(field) + 1
     return parts
 
 

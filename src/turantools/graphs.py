@@ -16,6 +16,7 @@ from . import _kernels
 from .errors import ParseError, SizeCapError
 
 BITSET_CAP = 64  # combinatorial kernels keep one machine word per row
+LIST_CAP = 1 << 21  # entries a size-only input may expand into (parts, zero coefficients)
 _G6_SPACE = " \t\r\n"  # graph6 bytes are 63..126; readers skip only these around them
 
 
@@ -202,6 +203,8 @@ def turan_parts(n: int, r: int) -> list[int]:
     """Balanced part sizes: ``n mod r`` parts of size ceil(n/r), rest floor."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if r > LIST_CAP:
+        raise SizeCapError(f"Turan part lists cap r at {LIST_CAP}, got {r}")
     q, k = divmod(n, r)
     return [q + 1] * k + [q] * (r - k)
 

@@ -1,6 +1,7 @@
 """Spectral radius, Perron vectors, and exact characteristic polynomials.
 
-Floating-point values come from shifted power iteration; anything that
+Floating-point radii come from shifted power iteration, or for complete
+multipartite graphs from an exact root rounded once; anything that
 decides a comparison can be escalated to exact integer polynomial
 arithmetic (`compare_exact`), so argmax sets are never settled by
 float noise.  Characteristic polynomials are computed in int64, which
@@ -15,13 +16,14 @@ that never compute a radius or a polynomial (`gen`, `turan`,
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import _realroots
 from .errors import NonConvergenceError, SizeCapError
-from .graphs import Graph, turan_parts
+from .graphs import LIST_CAP, Graph, turan_parts
 
 MIN_TOL = 1e-14
 DEFAULT_TOL = 1e-10
@@ -47,7 +49,7 @@ class SpectralResult:
     iterations: int
 
 
-def _power_iteration(sub: np.ndarray, tol: float):
+def _power_iteration(sub, tol: float):
     """Power iteration on A+I (the shift kills bipartite period-2).
 
     The returned vector is all ones or scaled to max exactly 1.0.
@@ -94,7 +96,7 @@ def _power_iteration(sub: np.ndarray, tol: float):
     )
 
 
-def _adjacency_matrix(g: Graph, dtype) -> np.ndarray:
+def _adjacency_matrix(g: Graph, dtype):
     """The 0/1 adjacency matrix of g, for any n (rows may pass 64 bits)."""
     import numpy as np
 
@@ -187,58 +189,69 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     return tuple(reversed(coeffs_high))
 
 
+def _quotient_poly(parts: Sequence[int]) -> tuple[Counter, list[int]]:
+    """Count the parts of each size s (m_s of them) and clear the secular
+    equation's denominators.
+
+    Returns the counts and P(x) = prod_s (x+s) - sum_s m_s s prod_(t!=s) (x+t),
+    lowest degree first: the characteristic polynomial of the quotient
+    matrix that merges equal-size parts, of degree the number of
+    distinct sizes.  P(x) = prod_s (x+s) (1 - sum_i n_i / (x+n_i)); the
+    sum falls from +inf to 0 on x > -min(parts) and runs from -inf to
+    +inf between consecutive poles, so P has all its roots real and its
+    largest is the secular root, the spectral radius.  n is capped below
+    2^53 (see `secular_lambda`).
+    """
+    counts = Counter(parts)
+    if not counts or min(counts) <= 0:
+        raise ValueError(f"part sizes must be positive, got {sorted(counts)}")
+    if sum(s * m for s, m in counts.items()) >= 2**53:
+        raise SizeCapError("part sizes cap n below 2^53")
+    total = [1]
+    for s in counts:
+        total = [s * a + b for a, b in zip(total + [0], [0] + total)]
+    poly = total
+    for s, m in counts.items():
+        # prod_(t!=s) (x+t) is total / (x+s), exact: the divisor is monic
+        rest = _realroots._pseudo_divmod(total, [s, 1])[0]
+        poly = [c - m * s * d for c, d in zip(poly, rest + [0])]
+    return counts, poly
+
+
 def multipartite_char_poly(parts: Sequence[int]) -> tuple[int, ...]:
     """Characteristic polynomial of the complete multipartite graph.
 
-    Expands x^(n-r) * (prod_j (x+n_j) - sum_i n_i * prod_{j!=i} (x+n_j))
-    with exact integers into the monic degree-n polynomial, returned as
-    its coefficients, lowest degree first.
+    Expands x^(n-r) * prod_s (x+s)^(m_s - 1) * P(x), with P and the
+    counts m_s from `_quotient_poly`, in exact integers into the monic
+    degree-n polynomial, returned as its coefficients, lowest degree
+    first.  The n - r zero coefficients are capped at LIST_CAP.
     """
-    parts = list(parts)
-    if not parts or any(p <= 0 for p in parts):
-        raise ValueError(f"part sizes must be positive, got {parts}")
-    n, r = sum(parts), len(parts)
-    total = [1]
-    for p in parts:
-        total = [p * a + b for a, b in zip(total + [0], [0] + total)]
-    acc = total
-    for p in parts:
-        # prod_{j!=i} (x+n_j) is total / (x+n_i), exact: the divisor is monic
-        rest = _realroots._pseudo_divmod(total, [p, 1])[0]
-        acc = [c - p * d for c, d in zip(acc, rest + [0])]
-    return tuple([0] * (n - r) + acc)
+    counts, poly = _quotient_poly(parts)
+    zeros = sum((s - 1) * m for s, m in counts.items())  # n - r
+    if zeros > LIST_CAP:
+        raise SizeCapError(f"multipartite polynomials cap n - r at {LIST_CAP}, got {zeros}")
+    for s, m in counts.items():
+        for _ in range(m - 1):
+            poly = [s * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return tuple([0] * zeros + poly)
 
 
 def secular_lambda(parts: Sequence[int]) -> float:
-    """Largest root of sum_i n_i / (lambda + n_i) = 1 by bisection.
+    """Largest root of sum_i n_i / (lambda + n_i) = 1, correctly rounded.
 
     This is the spectral radius of the complete multipartite graph with
-    the given part sizes; the left side is strictly decreasing in
-    lambda > 0, so the root is unique and bracketed by the graph's
-    minimum and maximum degrees.  The bisection stops when the midpoint
-    equals an end of the bracket, that is when the ends are adjacent
-    doubles.
+    the given part sizes, the largest root of `_quotient_poly`'s P.
+    `_realroots.LargestRoot` isolates it exactly in (lo, hi] and steps
+    until both ends round to the same double, which is then the root
+    correctly rounded.  The loop ends because the root is never halfway
+    between two doubles: an irrational root is no such point, and a
+    rational root of a monic integer polynomial is an integer, while the
+    halfway points below 2^53 are not, and the root is below n < 2^53.
     """
-    parts = list(parts)
-    if not parts or any(p <= 0 for p in parts):
-        raise ValueError(f"part sizes must be positive, got {parts}")
-    n = sum(parts)
-    lo = float(n - max(parts))  # minimum degree
-    hi = float(n - min(parts))  # maximum degree
-    if lo == hi:
-        return lo
-
-    def f(lam):
-        return sum(p / (lam + p) for p in parts) - 1.0
-
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if f(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
+    root = _realroots.LargestRoot(_quotient_poly(parts)[1])
+    while root.a / root.d != root.b / root.d:
+        root.step()
+    return root.b / root.d
 
 
 def compare_exact(g1: Graph, g2: Graph) -> int:

@@ -217,6 +217,24 @@ def multipartite_char_poly_products(parts) -> tuple[int, ...]:
     return tuple([0] * (sum(parts) - len(parts)) + acc)
 
 
+def secular_root_reference(parts) -> float:
+    """Largest root of sum_i n_i / (lam + n_i) = 1, correctly rounded.
+
+    Bisects in exact Fractions between the minimum and maximum degree,
+    n - max(parts) and n - min(parts), summing one term per part, until
+    both ends round to the same double.
+    """
+    n = sum(parts)
+    lo, hi = Fraction(n - max(parts)), Fraction(n - min(parts))
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        if sum(Fraction(p) / (mid + p) for p in parts) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
 def to_graph6_bitwise(g: Graph) -> str:
     """graph6 by appending one bit per pair and regrouping them by six."""
     n = g.n

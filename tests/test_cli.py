@@ -154,6 +154,35 @@ class TestSecularTuran:
         code, _, err = run_cli(["secular", "--parts", "2,x"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "parts,offset",
+        [("2_0,1", 0), ("\u0663,2", 0), ("2,,3", 2), ("2,3,", 4), ("", 0),
+         ("7, -1", 3), ("+2", 0), ("2,3 4", 2), ("1, 2.0", 3)],
+        ids=["underscore", "arabic-indic-digit", "empty-field", "trailing-comma",
+             "empty", "minus", "plus", "inner-blank", "decimal-point"],
+    )
+    def test_secular_parts_are_ascii_digit_fields(self, capsys, parts, offset):
+        code, out, err = run_cli(["secular", "--parts", parts], capsys)
+        assert code == 3 and out == ""
+        assert err.endswith(f"(byte {offset})\n"), err
+
+    def test_secular_parts_allow_blanks_around_fields(self, capsys):
+        assert run_cli(["secular", "--parts", "2, 2 ,1"], capsys) == \
+            run_cli(["secular", "--parts", "2,2,1"], capsys)
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [(["secular", "--parts", "1,10,17,20"], "lambda 31.9977416877"),
+         (["turan", "--n", "78", "--r", "51"], "lambda 76.3104367407"),
+         (["turan", "--n", "1500000", "--r", "1000000"], "lambda 1499998.3333334816")],
+        ids=["secular", "turan", "turan-million-parts"],
+    )
+    def test_radius_is_correctly_rounded(self, capsys, argv, line):
+        # the printed digits round the correctly rounded double
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert line in out.splitlines()
+
     def test_secular_nonpositive_part_exits_2(self, capsys):
         code, _, _ = run_cli(["secular", "--parts", "2,0"], capsys)
         assert code == 2
@@ -274,6 +303,22 @@ class TestExitCodes:
         code, _, err = run_cli(["gen", "--n", "11"], capsys)
         assert code == 4
         assert "size cap" in err
+
+    @pytest.mark.parametrize(
+        "parts", ["10000000,1", "99999999999999999999,1"], ids=["zeros", "past-2^53"])
+    def test_size_capped_parts_exit_4_before_allocating(self, parts):
+        # the grandchild's peak RSS, in KiB, read by its only parent
+        probe = ("import resource, subprocess, sys\n"
+                 "proc = subprocess.run([sys.executable, '-m', 'turantools', *sys.argv[1:]],"
+                 " capture_output=True)\n"
+                 "print(proc.returncode, len(proc.stdout),"
+                 " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        proc = subprocess.run([sys.executable, "-c", probe, "secular", "--parts", parts],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, stdout_bytes, maxrss_kib = map(int, proc.stdout.split())
+        assert (code, stdout_bytes) == (4, 0)
+        assert maxrss_kib < 100 * 1024
 
     def test_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -14,6 +14,7 @@ import turantools
 from turantools.enumeration import generate
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import (
+    LIST_CAP,
     CanonicalForm,
     Graph,
     canonical_form,
@@ -128,6 +129,13 @@ class TestBuilders:
     def test_turan_rejects(self, n, r):
         with pytest.raises(ValueError):
             turan_graph(n, r)
+
+    def test_turan_part_count_is_capped(self):
+        # checked before the list is built; r = 10**6 is admitted
+        assert turan_parts(10**12, 2) == [5 * 10**11] * 2
+        assert len(turan_parts(1_500_000, 10**6)) == 10**6
+        with pytest.raises(SizeCapError):
+            turan_parts(LIST_CAP + 1, LIST_CAP + 1)
 
 
 class TestGraph6:

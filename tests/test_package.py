@@ -54,6 +54,51 @@ def test_numpy_loads_only_for_spectral_work():
     assert proc.returncode == 0, proc.stderr
 
 
+_HINTS_PROBE = """
+import importlib
+import inspect
+import pkgutil
+import sys
+import typing
+
+import turantools
+
+checked, failures = 0, []
+for info in pkgutil.iter_modules(turantools.__path__):
+    if info.name == "__main__":  # importing it runs the CLI
+        continue
+    module = importlib.import_module(f"turantools.{info.name}")
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        funcs = [(name, obj)] if inspect.isfunction(obj) else []
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                # methods, static and class methods, property getters
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    funcs.append((f"{name}.{attr}", member))
+        for qualname, func in funcs:
+            checked += 1
+            try:
+                typing.get_type_hints(func)
+            except Exception as exc:
+                failures.append(f"{module.__name__}.{qualname}: {exc!r}")
+assert not failures, failures
+assert "numpy" not in sys.modules, "resolving annotations"
+print(checked)
+"""
+
+
+def test_every_annotation_resolves_without_numpy():
+    # numpy is imported on first use, so no signature may name it
+    proc = subprocess.run([sys.executable, "-c", _HINTS_PROBE], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 100  # functions and methods checked
+
+
 def _copy_tree(tmp_path):
     """Copy what the build script reads into ``tmp_path``, without builds."""
     pytest.importorskip("setuptools")

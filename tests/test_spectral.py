@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from turantools.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    LIST_CAP,
     from_graph6,
     path_graph,
     to_graph6,
@@ -51,6 +53,7 @@ from oracles import (
     perron_vector,
     random_connected_graph,
     random_graph,
+    secular_root_reference,
     spectral_radius_reference,
 )
 
@@ -263,6 +266,14 @@ class TestMultipartitePoly:
         with pytest.raises(ValueError):
             multipartite_char_poly([2, 0])
 
+    def test_zero_coefficients_are_capped(self):
+        # n - r zeros; the check comes before they are built
+        assert len(multipartite_char_poly([LIST_CAP + 1, 1])) == LIST_CAP + 3
+        with pytest.raises(SizeCapError):
+            multipartite_char_poly([LIST_CAP + 2, 1])
+        with pytest.raises(SizeCapError):
+            multipartite_char_poly([10**20, 1])
+
 
 def _compositions(total):
     if total == 0:
@@ -313,11 +324,38 @@ class TestSecular:
                 )
 
     def test_bisection_reaches_double_precision(self):
-        # K_{a,b} has radius sqrt(ab); bisection runs to adjacent doubles
+        # K_{a,b} has radius sqrt(ab); both sides are correctly rounded
         for a in range(1, 13):
             for b in range(1, 13):
-                exact = math.sqrt(a * b)
-                assert abs(secular_lambda([a, b]) - exact) <= 8 * math.ulp(exact)
+                assert secular_lambda([a, b]) == math.sqrt(a * b), (a, b)
+
+    def test_correctly_rounded_against_fraction_bisection(self):
+        rng = random.Random(29)
+        corpus = [[1, 10, 17, 20], turan_parts(78, 51)]
+        for _ in range(200):
+            top = rng.choice([3, 12, 40, 10**6])
+            corpus.append([rng.randint(1, top) for _ in range(rng.randint(1, 8))])
+        for parts in corpus:
+            assert secular_lambda(parts) == secular_root_reference(parts), parts
+        # a faithful bisection rounds these two the other way
+        assert secular_lambda([1, 10, 17, 20]) == 31.997741687650002
+        assert secular_lambda(turan_parts(78, 51)) == 76.31043674065006
+
+    def test_million_part_turan_graph(self):
+        # sizes a (k parts) and b: x^2 + (a + b - n) x + a b (1 - r) = 0
+        n, r = 1_500_000, 1_000_000
+        parts = turan_parts(n, r)
+        (a, k), (b, _) = sorted(Counter(parts).items(), reverse=True)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            p, q = Decimal(a + b - n), Decimal(a * b * (1 - r))
+            root = (-p + (p * p - 4 * q).sqrt()) / 2
+        assert secular_lambda(parts) == float(root) == 1499998.3333334816
+
+    def test_n_is_capped_below_2_to_the_53(self):
+        assert secular_lambda([2**52, 2**52 - 1]) == math.sqrt(2**52 * (2**52 - 1))
+        with pytest.raises(SizeCapError):
+            secular_lambda([2**52, 2**52])
 
 
 class TestCompareExact:
