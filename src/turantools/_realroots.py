@@ -199,6 +199,16 @@ class LargestRoot:
             root_above = _scaled_value(self.poly, s, d) < 0
         self.a, self.b, self.d = (s, b, d) if root_above else (a, s, d)
 
+    def sign_at(self, x):
+        """Sign of x - root for a rational x (a float or Decimal is read
+        exactly): the endpoints decide outside (lo, hi], and ``poly``'s
+        sign inside, where its one root is this one (class docstring)."""
+        x = Fraction(x)
+        if not self.lo < x <= self.hi:
+            return -1 if x <= self.lo else 1
+        v = _scaled_value(self.poly, x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
+
     def refine_to(self, width):
         width = Fraction(width)
         while (self.b - self.a) * width.denominator > width.numerator * self.d:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from decimal import Decimal
 
 from . import __version__
 from .enumeration import generate
@@ -26,7 +28,7 @@ from .graphs import from_graph6, to_graph6, turan_parts
 from .patterns import parse_forbidden
 from .spectral import (
     DEFAULT_TOL,
-    certified_radius_interval,
+    certified_radius_root,
     multipartite_char_poly,
     secular_lambda,
     spectral_radius,
@@ -56,6 +58,21 @@ def _jobs(text: str) -> int:
 
 def _fmt(x: float) -> str:
     return f"{x:.10f}"
+
+
+def _bracket(root, lo, hi, outward):
+    """Printed bounds with lo <= lambda <= hi.
+
+    An end that rounding put on the wrong side of lambda, as the exact
+    isolator's sign test shows, moves outward one unit, by
+    ``outward(v, -1)`` or ``outward(v, 1)``.  Rounding moved it by less
+    than a unit, so one move brings it past lambda.
+    """
+    while root.sign_at(lo) > 0:
+        lo = outward(lo, -1)
+    while root.sign_at(hi) < 0:
+        hi = outward(hi, 1)
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,8 +216,9 @@ def _cmd_spectral(args) -> int:
     res = spectral_radius(g, tol=args.tol)
     exact_interval = None
     if args.exact:
-        lo, hi = certified_radius_interval(g)
-        exact_interval = (float(lo), float(hi))
+        root = certified_radius_root(g)
+        exact_interval = _bracket(root, float(root.lo), float(root.hi),
+                                  lambda v, s: math.nextafter(v, s * math.inf))
     if args.json:
         payload = {
             "lambda": res.lam,
@@ -218,7 +236,9 @@ def _cmd_spectral(args) -> int:
         print(f"iters    {res.iterations}")
         print("perron   " + " ".join(_fmt(x) for x in res.vector))
         if exact_interval:
-            print(f"certified [{exact_interval[0]:.13f}, {exact_interval[1]:.13f}]")
+            lo, hi = (Decimal(f"{v:.13f}") for v in exact_interval)
+            lo, hi = _bracket(root, lo, hi, lambda v, s: v + s * Decimal("1e-13"))
+            print(f"certified [{lo:.13f}, {hi:.13f}]")
     return EXIT_OK
 
 
@@ -241,8 +261,8 @@ def _parse_parts(text: str) -> list[int]:
 
 def _cmd_secular(args) -> int:
     parts = _parse_parts(args.parts)
+    poly = multipartite_char_poly(parts)  # first: its size cap precedes any expansion
     lam = secular_lambda(parts)
-    poly = multipartite_char_poly(parts)
     print(f"lambda {_fmt(lam)}")
     print("charpoly " + " ".join(str(c) for c in poly))
     return EXIT_OK
@@ -252,11 +272,7 @@ def _cmd_turan(args) -> int:
     n, r = args.n, args.r
     edges = turan_edges(n, r)
     parts = turan_parts(n, r)
-    if r >= 2:
-        y1, y2, lam = turan_perron_closed(n, r)
-    else:
-        y1 = y2 = 1.0
-        lam = 0.0
+    y1, y2, lam = turan_perron_closed(n, r)
     print(f"parts  {','.join(str(p) for p in parts)}")
     print(f"edges  {edges}")
     print(f"lambda {_fmt(lam)}")

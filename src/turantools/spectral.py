@@ -29,6 +29,7 @@ MIN_TOL = 1e-14
 DEFAULT_TOL = 1e-10
 ITERATION_CAP = 10**6
 EXACT_CAP = 24  # int64 characteristic polynomials; see char_poly_exact
+DIGIT_CAP = 1 << 21  # decimal digits of a multipartite polynomial's nonzero coefficients
 INTERVAL_WIDTH = Fraction(1e-12).limit_denominator(10**15)  # of certified intervals
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -109,7 +110,7 @@ def _adjacency_matrix(g: Graph, dtype):
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue with a max-1 Perron vector.
 
-    Disconnected graphs are handled per component; the result takes the
+    Each component is solved on its own submatrix; the result takes the
     per-component maximum and embeds the winning component's vector
     padded with zeros.
     """
@@ -123,20 +124,16 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     best = None  # (lam, comp, x, residual)
     total_sweeps = 0
     for comp in g.connected_components():
-        # a component that spans the graph is the whole matrix, in order
-        sub = a if len(comp) == g.n else a[np.ix_(comp, comp)]
-        lam, x, residual, sweeps = _power_iteration(sub, tol)
+        lam, x, residual, sweeps = _power_iteration(a[np.ix_(comp, comp)], tol)
         total_sweeps += sweeps
         if best is None or lam > best[0]:
             best = (lam, comp, x, residual)
     lam, comp, x, residual = best
-    if len(comp) < g.n:
-        full = np.zeros(g.n)
-        full[comp] = x
-        x = full
+    full = np.zeros(g.n)
+    full[comp] = x
     return SpectralResult(
         lam=lam,
-        vector=tuple(x.tolist()),
+        vector=tuple(full.tolist()),
         residual=residual,
         iterations=total_sweeps,
     )
@@ -189,24 +186,29 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     return tuple(reversed(coeffs_high))
 
 
-def _quotient_poly(parts: Sequence[int]) -> tuple[Counter, list[int]]:
-    """Count the parts of each size s (m_s of them) and clear the secular
-    equation's denominators.
-
-    Returns the counts and P(x) = prod_s (x+s) - sum_s m_s s prod_(t!=s) (x+t),
-    lowest degree first: the characteristic polynomial of the quotient
-    matrix that merges equal-size parts, of degree the number of
-    distinct sizes.  P(x) = prod_s (x+s) (1 - sum_i n_i / (x+n_i)); the
-    sum falls from +inf to 0 on x > -min(parts) and runs from -inf to
-    +inf between consecutive poles, so P has all its roots real and its
-    largest is the secular root, the spectral radius.  n is capped below
-    2^53 (see `secular_lambda`).
-    """
+def _part_counts(parts: Sequence[int]) -> Counter:
+    """m_s, the number of parts of each size s.  Sizes must be positive,
+    and n is capped below 2^53 (see `secular_lambda`)."""
     counts = Counter(parts)
     if not counts or min(counts) <= 0:
         raise ValueError(f"part sizes must be positive, got {sorted(counts)}")
     if sum(s * m for s, m in counts.items()) >= 2**53:
         raise SizeCapError("part sizes cap n below 2^53")
+    return counts
+
+
+def _quotient_poly(counts: Counter) -> list[int]:
+    """Clear the secular equation's denominators.
+
+    Returns P(x) = prod_s (x+s) - sum_s m_s s prod_(t!=s) (x+t) for the
+    part counts m_s of `_part_counts`, lowest degree first: the
+    characteristic polynomial of the quotient matrix that merges
+    equal-size parts, of degree the number of distinct sizes.
+    P(x) = prod_s (x+s) (1 - sum_i n_i / (x+n_i)); the sum falls from
+    +inf to 0 on x > -min(parts) and runs from -inf to +inf between
+    consecutive poles, so P has all its roots real and its largest is
+    the secular root, the spectral radius.
+    """
     total = [1]
     for s in counts:
         total = [s * a + b for a, b in zip(total + [0], [0] + total)]
@@ -215,21 +217,33 @@ def _quotient_poly(parts: Sequence[int]) -> tuple[Counter, list[int]]:
         # prod_(t!=s) (x+t) is total / (x+s), exact: the divisor is monic
         rest = _realroots._pseudo_divmod(total, [s, 1])[0]
         poly = [c - m * s * d for c, d in zip(poly, rest + [0])]
-    return counts, poly
+    return poly
 
 
 def multipartite_char_poly(parts: Sequence[int]) -> tuple[int, ...]:
     """Characteristic polynomial of the complete multipartite graph.
 
-    Expands x^(n-r) * prod_s (x+s)^(m_s - 1) * P(x), with P and the
-    counts m_s from `_quotient_poly`, in exact integers into the monic
-    degree-n polynomial, returned as its coefficients, lowest degree
-    first.  The n - r zero coefficients are capped at LIST_CAP.
+    Expands x^(n-r) * prod_s (x+s)^(m_s - 1) * P(x), with P from
+    `_quotient_poly`, in exact integers into the monic degree-n
+    polynomial, returned as its coefficients, lowest degree first.
+
+    The size is capped from the part counts before anything is
+    expanded: the n - r zero coefficients at LIST_CAP, and the digits of
+    the other r + 1 at DIGIT_CAP.  The polynomial is x^(n-r) times
+    prod_i (x+n_i) - sum_i n_i prod_(j!=i) (x+n_j), whose r + 1 terms
+    have nonnegative coefficients summing to at most prod_i (1+n_i)
+    each, so no coefficient exceeds (r + 1) prod_i (1+n_i).
     """
-    counts, poly = _quotient_poly(parts)
+    counts = _part_counts(parts)
     zeros = sum((s - 1) * m for s, m in counts.items())  # n - r
     if zeros > LIST_CAP:
         raise SizeCapError(f"multipartite polynomials cap n - r at {LIST_CAP}, got {zeros}")
+    r = sum(counts.values())
+    log_bound = math.log10(r + 1) + sum(m * math.log10(1 + s) for s, m in counts.items())
+    digits = (r + 1) * (int(log_bound) + 1)
+    if digits > DIGIT_CAP:
+        raise SizeCapError(f"multipartite polynomials cap coefficient digits at {DIGIT_CAP}, got {digits}")
+    poly = _quotient_poly(counts)
     for s, m in counts.items():
         for _ in range(m - 1):
             poly = [s * a + b for a, b in zip(poly + [0], [0] + poly)]
@@ -248,7 +262,7 @@ def secular_lambda(parts: Sequence[int]) -> float:
     rational root of a monic integer polynomial is an integer, while the
     halfway points below 2^53 are not, and the root is below n < 2^53.
     """
-    root = _realroots.LargestRoot(_quotient_poly(parts)[1])
+    root = _realroots.LargestRoot(_quotient_poly(_part_counts(parts)))
     while root.a / root.d != root.b / root.d:
         root.step()
     return root.b / root.d
@@ -269,11 +283,20 @@ def compare_exact(g1: Graph, g2: Graph) -> int:
     return _realroots.compare_largest_roots(char_poly_exact(g1), char_poly_exact(g2))
 
 
-def certified_radius_interval(g: Graph) -> tuple[Fraction, Fraction]:
-    """Rational interval (lo, hi] of at most INTERVAL_WIDTH containing lambda."""
+def certified_radius_root(g: Graph) -> _realroots.LargestRoot:
+    """Exact isolator of lambda, refined until (lo, hi] is at most
+    INTERVAL_WIDTH wide; its ``sign_at`` places any rational against lambda."""
     if g.n == 0:
         raise ValueError("graphs must have at least one vertex")
-    return _realroots.LargestRoot(char_poly_exact(g)).refine_to(INTERVAL_WIDTH)
+    root = _realroots.LargestRoot(char_poly_exact(g))
+    root.refine_to(INTERVAL_WIDTH)
+    return root
+
+
+def certified_radius_interval(g: Graph) -> tuple[Fraction, Fraction]:
+    """Rational interval (lo, hi] of at most INTERVAL_WIDTH containing lambda."""
+    root = certified_radius_root(g)
+    return root.lo, root.hi
 
 
 def turan_perron_closed(n: int, r: int) -> tuple[float, float, float]:
@@ -281,14 +304,14 @@ def turan_perron_closed(n: int, r: int) -> tuple[float, float, float]:
 
     Returns ``(y1, y2, lam)`` with ``y2 = 1`` on the floor-size parts
     and ``y1 = (lam + floor(n/r)) / (lam + ceil(n/r))`` on the
-    ceil-size parts; when r divides n both values are 1.
+    ceil-size parts; when r divides n (r = 1 included) both values are 1.
+    The domain is `turan_parts`'s: 1 <= r <= n, r <= LIST_CAP.
     """
-    if not 2 <= r <= n:
-        raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
+    parts = turan_parts(n, r)
     q, k = divmod(n, r)
     if k == 0:
         return 1.0, 1.0, float(n - q)
-    lam = secular_lambda(turan_parts(n, r))
+    lam = secular_lambda(parts)
     y1 = (lam + q) / (lam + q + 1)
     return y1, 1.0, lam
 

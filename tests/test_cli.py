@@ -8,10 +8,14 @@ import stat
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 from turantools import cli, spectral
+from turantools._realroots import LargestRoot
 from turantools.cli import build_parser, main
+from turantools.enumeration import generate
 from turantools.graphs import to_graph6
 
 
@@ -136,6 +140,33 @@ class TestSpectral:
         lo, hi = payload["certified_interval"]
         assert lo <= 4.0 <= hi and hi - lo <= 1e-11
 
+    def test_certified_bounds_contain_the_radius(self, capsys):
+        # every class on 2..7 vertices with an edge, text and JSON, against
+        # an isolating interval of width 1e-40
+        def side(x, lo, hi, cp):  # the sign of x - lambda
+            if lo < x <= hi:  # only lambda itself comes that close
+                assert sum(c * x**i for i, c in enumerate(cp)) == 0
+                return 0
+            return -1 if x <= lo else 1
+
+        parser, missed, classes = build_parser(), [], 0
+        for g in (g for n in range(2, 8) for g in generate(n) if g.m):
+            classes += 1
+            g6, cp = to_graph6(g), spectral.char_poly_exact(g)
+            lo, hi = LargestRoot(cp).refine_to(Fraction(1, 10**40))
+            for form in ("text", "json"):
+                argv = ["spectral", "--g6", g6, "--exact"] + (["--json"] if form == "json" else [])
+                assert cli._cmd_spectral(parser.parse_args(argv)) == 0
+                out = capsys.readouterr().out
+                if form == "json":
+                    bounds = json.loads(out)["certified_interval"]
+                else:
+                    bounds = out.splitlines()[-1].removeprefix("certified [")[:-1].split(", ")
+                if not side(Fraction(bounds[0]), lo, hi, cp) <= 0 <= side(Fraction(bounds[1]), lo, hi, cp):
+                    missed.append((g6, form, bounds))
+        assert classes == 1245
+        assert missed == []
+
     def test_bad_g6_exits_3(self, capsys):
         code, _, err = run_cli(["spectral", "--g6", "D~"], capsys)
         assert code == 3
@@ -196,6 +227,21 @@ class TestSecularTuran:
     def test_turan_invalid_exits_2(self, capsys):
         code, _, _ = run_cli(["turan", "--n", "3", "--r", "9"], capsys)
         assert code == 2
+
+    def test_turan_one_part(self, capsys):
+        # T(n, 1) is edgeless: the closed form's divisible case
+        code, out, _ = run_cli(["turan", "--n", "6", "--r", "1"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["parts  6", "edges  0", "lambda 0.0000000000",
+                                    "y1     1.0000000000", "y2     1.0000000000"]
+
+    def test_secular_prints_below_the_digit_cap(self, capsys):
+        # K_2000: 2 001 coefficients of at most 606 digits each, by the bound
+        code, out, _ = run_cli(["secular", "--parts", ",".join(["1"] * 2000)], capsys)
+        assert code == 0
+        lam, poly = out.splitlines()
+        assert lam == "lambda 1999.0000000000"
+        assert len(poly.split()) == 1 + 2001
 
 
 class TestDiagnose:
@@ -305,7 +351,8 @@ class TestExitCodes:
         assert "size cap" in err
 
     @pytest.mark.parametrize(
-        "parts", ["10000000,1", "99999999999999999999,1"], ids=["zeros", "past-2^53"])
+        "parts", ["10000000,1", "99999999999999999999,1", ",".join(["1"] * 65000)],
+        ids=["zeros", "past-2^53", "digits"])
     def test_size_capped_parts_exit_4_before_allocating(self, parts):
         # the grandchild's peak RSS, in KiB, read by its only parent
         probe = ("import resource, subprocess, sys\n"
@@ -382,13 +429,22 @@ class TestPinnedOutputs:
             ("IheA@GUAo", [2.999999999999394, 3.0000000000001896]),
             ("K?~vfb~~v}^w", [7.99999999999928, 8.000000000000218]),
             ("QpwuLhyp~i^hdRrVcRsMvpywT\\w", [10.41608049815137, 10.416080498151997]),
+            # the nearest double to lo, 2.7964374026209575, is above lambda
+            ("ECzo", [2.796437402620957, 2.796437402621469]),
         ],
-        ids=["C5", "K4", "Petersen", "T(12,3)", "G(18,1/2)"],
+        ids=["C5", "K4", "Petersen", "T(12,3)", "G(18,1/2)", "ECzo-lo-moved-out"],
     )
     def test_spectral_certified_interval(self, capsys, g6, interval):
         code, out, _ = run_cli(["spectral", "--g6", g6, "--exact", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["certified_interval"] == interval
+
+    def test_certified_text_bound_moved_out(self, capsys):
+        # the nearest 13-decimal lo, 3.6457513110646, is above
+        # lambda = 3.64575131106459...
+        code, out, _ = run_cli(["spectral", "--g6", "D^{", "--exact"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "certified [3.6457513110645, 3.6457513110651]"
 
     def test_verify_c5_free(self, capsys):
         code, out, _ = run_cli(

@@ -33,7 +33,7 @@ from turantools.spectral import (
     spectral_radius,
 )
 
-from oracles import canonical_graph6_relabeled, max_edges_labeled
+from oracles import canonical_graph6_relabeled, eig_max, max_edges_labeled
 
 K3 = parse_forbidden("K3")
 K4 = parse_forbidden("K4")
@@ -143,6 +143,21 @@ class TestSpectralEx:
         )
         rep = build_report(n, parse_forbidden(spec))
         assert rep.spectral_extremal == argmax
+        assert rep.lambda_exact
+
+    def test_exact_comparison_replaces_a_beaten_winner(self, monkeypatch):
+        # one float radius for every class makes each a finalist, so exact
+        # comparison alone picks the argmax; the first class is edgeless,
+        # and a later finalist that beats the winners replaces them
+        monkeypatch.setattr(extremal, "spectral_radius",
+                            lambda g, tol: spectral.SpectralResult(1.0, (1.0,) * g.n, 0.0, 1))
+        classes = list(generate(6, K3))
+        radii = [eig_max(g) for g in classes]
+        top = max(radii)
+        argmax = [g for g, lam in zip(classes, radii) if lam > top - 1e-9]
+        assert classes[0].m == 0 and radii[0] < top and len(classes) == 38
+        rep = build_report(6, K3)
+        assert rep.spectral_extremal == tuple(extremal._canonical_sorted(argmax))
         assert rep.lambda_exact
 
     def test_tie_window_covers_the_scan_tolerance(self):

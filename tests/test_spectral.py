@@ -266,6 +266,24 @@ class TestMultipartitePoly:
         with pytest.raises(ValueError):
             multipartite_char_poly([2, 0])
 
+    def test_coefficient_bound(self):
+        # |c| <= (r + 1) prod_i (1 + n_i), the bound DIGIT_CAP is checked with
+        rng = random.Random(30)
+        for _ in range(300):
+            parts = [rng.randint(1, 9) for _ in range(rng.randint(1, 12))]
+            bound = (len(parts) + 1) * math.prod(1 + p for p in parts)
+            assert max(map(abs, multipartite_char_poly(parts))) <= bound, parts
+
+    def test_nonzero_coefficient_digits_are_capped(self, monkeypatch):
+        # checked before anything is expanded
+        monkeypatch.setattr(spectral, "_quotient_poly", None)
+        for parts in ([1] * 65000, [1] * 2700, list(range(1, 2000))):
+            with pytest.raises(SizeCapError):
+                multipartite_char_poly(parts)
+        monkeypatch.undo()
+        # 2 000 parts of size 1: 2 001 coefficients of at most 606 digits
+        assert len(multipartite_char_poly([1] * 2000)) == 2001
+
     def test_zero_coefficients_are_capped(self):
         # n - r zeros; the check comes before they are built
         assert len(multipartite_char_poly([LIST_CAP + 1, 1])) == LIST_CAP + 3
@@ -433,6 +451,13 @@ class TestCompareExact:
         with pytest.raises(SizeCapError):
             compare_exact(empty_graph(25), empty_graph(3))
 
+    def test_graph_without_vertices_is_refused(self):
+        for g, h in ((Graph(0), Graph(1)), (Graph(1), Graph(0))):
+            with pytest.raises(ValueError):
+                compare_exact(g, h)
+        with pytest.raises(ValueError):
+            certified_radius_interval(Graph(0))
+
     def test_versus_eigensolver_at_the_cap(self):
         rng = random.Random(24)
         for _ in range(6):
@@ -519,6 +544,17 @@ class TestLargestRoot:
             assert verdict == fraction_compare_largest_roots(p, q), (to_graph6(g), to_graph6(h))
             verdicts[verdict] += 1
         assert set(verdicts) == {LESS, EQUAL, GREATER}
+
+    def test_sign_at_places_rationals_against_the_root(self):
+        # C5: lambda = 2 exactly; K_{2,3}: sqrt(6), irrational
+        two = LargestRoot(char_poly_exact(cycle_graph(5)))
+        lo, hi = two.refine_to(INTERVAL_WIDTH)
+        assert [two.sign_at(x) for x in (lo - 1, lo, Fraction(2), hi, hi + 1)] == [-1, -1, 0, 1, 1]
+        six = LargestRoot(char_poly_exact(complete_multipartite([2, 3])))
+        six.refine_to(INTERVAL_WIDTH)
+        below, above = Fraction(2449489742783178, 10**15), Fraction(2449489742783179, 10**15)
+        assert (six.sign_at(below), six.sign_at(above)) == (-1, 1)
+        assert six.lo < below < above < six.hi
 
     def test_chain_evaluated_only_until_isolation(self, monkeypatch):
         chains, values, steps, roots = Counter(), Counter(), Counter(), []
@@ -607,10 +643,12 @@ class TestTuranPerronClosed:
                 assert y1 >= 1 - 1 / n
 
     def test_rejects(self):
-        with pytest.raises(ValueError):
-            turan_perron_closed(3, 1)
-        with pytest.raises(ValueError):
-            turan_perron_closed(3, 4)
+        # the domain is turan_parts's: 1 <= r <= n; T(n, 1) is edgeless
+        for n, r in ((3, 0), (3, 4), (0, 1)):
+            with pytest.raises(ValueError):
+                turan_perron_closed(n, r)
+        for n in (1, 2, 7):
+            assert turan_perron_closed(n, 1) == (1.0, 1.0, 0.0)
 
 
 class TestMonotonicityProperties:
