@@ -8,31 +8,28 @@ endpoints as integer numerators over one shared denominator;
 ``Fraction`` appears only in the endpoints handed out.
 
 Everything here assumes the inputs are characteristic polynomials of
-symmetric integer matrices: all roots are real algebraic integers.  That
-gives one very convenient fact (a rational sample point that is not an
-integer can never be a root) which lets the bisection pick sample
-points without ever landing on a root.  It also makes the positive lead
-that `primitive` forces on each Sturm remainder sound: a square-free
-polynomial of degree d with d real roots has a full Sturm sequence
-(degrees d, d-1, ..., 0) whose leads are all positive, since its sign
-variations at +inf and -inf differ by d.  So the flip never fires on the
-chains built here.
+symmetric integer matrices: all roots are real algebraic integers.  Two
+facts follow.  A rational sample point that is not an integer can never
+be a root, which lets the bisection pick sample points without ever
+landing on one.  And Descartes' rule of signs is exact: the sign
+variations of the Taylor coefficients of a real-rooted p at s count
+its roots above s with multiplicity (Basu, Pollack and Roy,
+*Algorithms in Real Algebraic Geometry*, 2006, ch. 2).  Counted on the
+square-free part, which has each root once, that is the number of
+distinct roots above s; `_roots_above` counts so at a rational s/d.
 
-``remainder_sequence`` is the one remainder sequence: it ends in the gcd
-of its arguments, and since ``primitive(-r) == primitive(r)`` the one of
-p and p' is the Sturm chain of p.  So one sequence both tests p for
-repeated roots and, when it has none, is the chain bisection counts with.
-
-Bisection needs the chain only until the interval isolates the largest
-root.  After that one sign of the square-free part decides each step:
-it is primitive with a positive lead and has a single simple root in
-(lo, hi], so at a sample point x there it is positive iff x lies above
-that root.
+``remainder_sequence`` only computes gcds.  It ends in gcd(a, b) up to
+a constant factor, so the sign convention of its members' leading
+coefficients does not matter: gcd(p, p') gives the square-free part,
+and the gcd of two square-free parts their common roots.
 
 Equality of two largest roots has a one-shot certificate.  Once each
 interval (lo, hi] isolates its polynomial's largest root, the roots are
-equal iff the gcd of the square-free parts has a root in both
-intervals, which two Sturm counts on the gcd's chain decide.
+equal iff the gcd g of the square-free parts has a root in both
+intervals.  g divides both square-free parts, so it is square-free and
+has at most one root in an interval that isolates one of theirs, and
+no interval end is a root: g has a root there iff it changes sign
+across the interval.
 """
 
 from __future__ import annotations
@@ -46,10 +43,6 @@ def trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def derivative(p):
-    return [i * c for i, c in enumerate(p)][1:]
 
 
 def _pseudo_divmod(a, b):
@@ -96,11 +89,6 @@ def remainder_sequence(a, b):
     return seq
 
 
-def sturm_chain(p):
-    """Sturm chain of p, ending in gcd(p, p') (see the module docstring)."""
-    return remainder_sequence(p, derivative(p))
-
-
 def _scaled_value(p, num, den):
     """den**deg(p) * p(num/den): the sign of p at num/den for den > 0."""
     acc, scale = 0, 1
@@ -110,65 +98,84 @@ def _scaled_value(p, num, den):
     return acc
 
 
-def _variations(chain, num, den):
-    """Sign changes along the chain at num/den (den > 0)."""
-    signs = [v > 0 for v in (_scaled_value(p, num, den) for p in chain) if v]
+def _roots_above(p, s, d):
+    """Sign variations of the Taylor coefficients at s of d**deg(p) *
+    p(x/d), for d > 0: the number of distinct roots above s/d of a
+    real-rooted, square-free p (module docstring)."""
+    n = len(p) - 1
+    q = [c * d ** (n - i) for i, c in enumerate(p)]  # d**n * p(x/d)
+    for i in range(n):  # q(x) <- q(x + s), one coefficient final per pass
+        acc = q[n]
+        for j in range(n - 1, i - 1, -1):
+            acc = q[j] = q[j] + s * acc
+    signs = [c > 0 for c in q if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def count_roots(chain, lo, hi):
-    """Distinct real roots in (lo, hi]; endpoints must not be roots."""
-    return (_variations(chain, lo.numerator, lo.denominator)
-            - _variations(chain, hi.numerator, hi.denominator))
-
-
 def root_bound(p):
-    """Cauchy bound: every root lies in [-bound, bound]."""
-    p = trim(p)
+    """Cauchy bound: every root lies in [-bound, bound]; p is trimmed."""
     return Fraction(max(map(abs, p[:-1]), default=0), abs(p[-1])) + 1
 
 
 class LargestRoot:
     """Isolating interval (lo, hi] for a poly's largest root.
 
-    ``poly`` is the square-free part of the input and ``chain`` its
-    Sturm chain.  Construction runs one remainder sequence, the chain of
-    the input itself; only when that ends in a non-constant gcd is the
-    gcd divided out and the quotient's chain built.
+    ``poly`` is the square-free part of the input.  Construction runs
+    one remainder sequence, of the input and its derivative; only when
+    that ends in a non-constant gcd is the gcd divided out.
 
     The endpoints are lo = a/d and hi = b/d.  Each step samples one
     point strictly inside: the midpoint when it is not an integer, else
     a non-integer point beside it, so no sample is ever a root.
 
-    Construction bisects until (lo, hi] holds exactly one root of
-    ``poly``, which is then its largest root.  Until then a step
-    evaluates the chain once, at the sample point.  ``hi`` only ever
-    moves down to a point with no root above it, so V(hi) stays the
-    variation count ``vtop`` at the starting ``hi`` and the roots in
-    (x, hi] number V(x) - vtop; ``vlo`` is V(lo).  Once vlo - vtop is 1
-    a step evaluates only ``poly``: it is negative at the sample point
-    iff the point lies below the one root (module docstring).
+    ``hi`` only ever moves down to a point with no root above it, and
+    ``above`` is the number of roots above lo.  At the start that is
+    deg(poly) without a count: every root, real or not, has a larger
+    real part than lo, so the Taylor coefficients at lo alternate in
+    sign.  Each sample point that becomes lo is counted
+    (`_roots_above`), and construction bisects until ``above`` is 1:
+    (lo, hi] then holds exactly one root of ``poly``, its largest.
+    After that a step evaluates only ``poly``: it is negative at the
+    sample point iff the point lies below that one simple root.
+
+    An input with a non-real root raises ValueError where that shows:
+    in a remainder sequence that skips a degree, which a real-rooted
+    input's never does (the roots of consecutive members interlace), or
+    once the isolating bisection is narrower than the root separation
+    while it still counts two or more roots in (lo, hi].  The counts
+    alone would not end the bisection: x^2 + 1 counts two roots above
+    every point below 0 and none above any point above it.  The
+    discriminant of ``poly`` is a nonzero integer, lead**(2m - 2) times
+    the squared differences of its m roots, which all lie in the start
+    interval, of width W.  So two roots are at least lead**(1 - m) *
+    W**(1 - m(m - 1)/2) apart, which is at least 2**-sep for sep = m*m
+    times the bit length of floor(lead * W) + 1.  An input that shows
+    neither is still answered right: a count of 0 or 1 is exact for any
+    polynomial, so (lo, hi] isolates its largest real root.
     """
 
     def __init__(self, coeffs):
-        chain = sturm_chain(coeffs)
-        if len(chain[-1]) > 1:  # repeated roots: divide out gcd(p, p')
-            q, r = _pseudo_divmod(chain[0], chain[-1])
+        seq = remainder_sequence(coeffs, [i * c for i, c in enumerate(coeffs)][1:])
+        self.poly = seq[0]
+        if len(seq[-1]) > 1:  # repeated roots: divide out gcd(p, p')
+            q, r = _pseudo_divmod(seq[0], seq[-1])
             assert not r, "square-free division must be exact"
-            chain = sturm_chain(q)
-        self.poly, self.chain = chain[0], chain
-        if len(self.poly) <= 1:
+            self.poly = primitive(q)
+        m = len(self.poly) - 1
+        if m < 1:
             raise ValueError("polynomial has no roots")
+        if len(seq) + len(seq[-1]) != len(seq[0]) + 1:
+            raise ValueError("polynomial has a non-real root")
         bound = root_bound(self.poly)
         # (lo, hi] = (-bound - 1/3, bound + 1/3]
         self.d = 3 * bound.denominator
         self.b = 3 * bound.numerator + bound.denominator
         self.a = -self.b
-        self.vlo = _variations(chain, self.a, self.d)
-        self.vtop = _variations(chain, self.b, self.d)
-        if self.vlo - self.vtop < 1:
-            raise ValueError("polynomial has no real roots")
-        while self.vlo - self.vtop > 1:
+        self.above = m
+        sep = m * m * (self.poly[-1] * (self.b - self.a) // self.d + 1).bit_length()
+        while self.above > 1:
+            if (self.b - self.a).bit_length() + sep < self.d.bit_length():
+                raise ValueError("polynomial has a non-real root")
             self.step()
 
     @property
@@ -190,11 +197,10 @@ class LargestRoot:
         else:  # the midpoint + gap/6
             s = a + 2 * b
             a, b, d = 3 * a, 3 * b, 3 * d
-        if self.vlo - self.vtop > 1:
-            v = _variations(self.chain, s, d)
-            root_above = v > self.vtop
-            if root_above:
-                self.vlo = v
+        if self.above > 1:
+            above = _roots_above(self.poly, s, d)
+            root_above = above > 0
+            self.above = above or self.above
         else:
             root_above = _scaled_value(self.poly, s, d) < 0
         self.a, self.b, self.d = (s, b, d) if root_above else (a, s, d)
@@ -224,16 +230,17 @@ def compare_largest_roots(p, q) -> int:
     polynomial, the largest, so the two largest roots are equal iff
     g = gcd has a root in both intervals: a root of g in p's interval
     is p's largest root and a root of q, so it is at most q's largest
-    root, and symmetrically.  Otherwise the wider interval is bisected
-    until the two are disjoint.
+    root, and symmetrically.  g has a root in an interval iff it
+    changes sign across it (module docstring).  Otherwise the wider
+    interval is bisected until the two are disjoint.
     """
     if p == q:  # relabelled or cospectral graphs
         return 0
     ip, iq = LargestRoot(p), LargestRoot(q)
     if ip.poly == iq.poly:
         return 0
-    g = sturm_chain(remainder_sequence(ip.poly, iq.poly)[-1])
-    if count_roots(g, ip.lo, ip.hi) and count_roots(g, iq.lo, iq.hi):
+    g = remainder_sequence(ip.poly, iq.poly)[-1]
+    if all(_scaled_value(g, i.a, i.d) * _scaled_value(g, i.b, i.d) < 0 for i in (ip, iq)):
         return 0
     # endpoints cross-multiplied: x/dx < y/dy iff x * dy < y * dx
     while ip.a * iq.d < iq.b * ip.d and iq.a * ip.d < ip.b * iq.d:

@@ -256,14 +256,16 @@ def secular_lambda(parts: Sequence[int]) -> float:
     This is the spectral radius of the complete multipartite graph with
     the given part sizes, the largest root of `_quotient_poly`'s P.
     `_realroots.LargestRoot` isolates it exactly in (lo, hi] and steps
-    until both ends round to the same double, which is then the root
-    correctly rounded.  The loop ends because the root is never halfway
-    between two doubles: an irrational root is no such point, and a
-    rational root of a monic integer polynomial is an integer, while the
-    halfway points below 2^53 are not, and the root is below n < 2^53.
+    until (lo, hi] is at most 1 wide, so both ends fit in a double (the
+    root is in [0, n) and n < 2^53), and then until both ends round to
+    the same double, which is then the root correctly rounded.  The
+    loop ends because the root is never halfway between two doubles: an
+    irrational root is no such point, and a rational root of a monic
+    integer polynomial is an integer, while the halfway points below
+    2^53 are not.
     """
     root = _realroots.LargestRoot(_quotient_poly(_part_counts(parts)))
-    while root.a / root.d != root.b / root.d:
+    while root.b - root.a > root.d or root.a / root.d != root.b / root.d:
         root.step()
     return root.b / root.d
 
@@ -272,10 +274,11 @@ def compare_exact(g1: Graph, g2: Graph) -> int:
     """Order the exact spectral radii: LESS, EQUAL, or GREATER.
 
     Works on the integer characteristic polynomials, never on floats.
-    Each largest root is isolated by rational Sturm bisection; EQUAL is
-    certified once, by the gcd of the square-free parts having a root
-    in both isolating intervals, and an order by bisecting the wider
-    interval until the two are disjoint.
+    Each largest root is isolated by rational bisection, each step
+    decided by a Descartes count of the roots above the sample point;
+    EQUAL is certified once, by the gcd of the square-free parts having
+    a root in both isolating intervals, and an order by bisecting the
+    wider interval until the two are disjoint.
     """
     for g in (g1, g2):
         if g.n == 0:

@@ -5,8 +5,14 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from turantools import _core_py
+
+# Property tests draw the same examples on every run, with no time limit
+# per example: a failure is reproducible and never a slow machine's.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 CORE_C = Path(_core_py.__file__).with_name("_core.c")
 

@@ -144,7 +144,7 @@ class TestGraph6:
         assert to_graph6(empty_graph(5)) == "D??"
         assert from_graph6("D~{") == complete_graph(5)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(_graphs(st.integers(0, 12)))
     def test_round_trip(self, g):
         assert from_graph6(to_graph6(g)) == g

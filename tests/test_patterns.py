@@ -180,7 +180,7 @@ class TestContainment:
                 u, v = rng.choice(non)
                 assert contains_subgraph(g.with_edge(u, v), f)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.integers(2, 7), st.randoms(use_true_random=False))
     def test_supergraph_keeps_pattern(self, n, pyrandom):
         g = random_graph(pyrandom, n)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -7,6 +8,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from turantools import _realroots, spectral
 from turantools._realroots import LargestRoot
@@ -43,6 +46,7 @@ from turantools.spectral import (
     turan_perron_closed,
 )
 
+import oracles
 from oracles import (
     FractionLargestRoot,
     charpoly_faddeev_bigint,
@@ -370,6 +374,16 @@ class TestSecular:
             root = (-p + (p * p - 4 * q).sqrt()) / 2
         assert secular_lambda(parts) == float(root) == 1499998.3333334816
 
+    def test_many_sizes_with_a_huge_start_bound(self):
+        # P's Cauchy bound is above the largest double, and its one positive
+        # root is isolated while hi still is that bound
+        parts = [4 * 10**14 + i for i in range(22)]
+        lam = secular_lambda(parts)
+        root = LargestRoot(spectral._quotient_poly(spectral._part_counts(parts)))
+        assert root.hi > sys.float_info.max
+        below, above = ((Fraction(lam) + Fraction(math.nextafter(lam, t))) / 2 for t in (0, math.inf))
+        assert (root.sign_at(below), root.sign_at(above)) == (-1, 1)
+
     def test_n_is_capped_below_2_to_the_53(self):
         assert secular_lambda([2**52, 2**52 - 1]) == math.sqrt(2**52 * (2**52 - 1))
         with pytest.raises(SizeCapError):
@@ -422,15 +436,20 @@ class TestCompareExact:
             else:
                 assert verdict == (GREATER if gap > 0 else LESS)
 
-    def test_equality_is_certified_by_two_sturm_counts(self, monkeypatch):
-        calls = []
-        count_roots = _realroots.count_roots
+    def test_equality_is_certified_by_two_sign_changes(self, monkeypatch):
+        sequences, signs = [], Counter()
+        remainder_sequence, scaled_value = _realroots.remainder_sequence, _realroots._scaled_value
 
-        def spy_count_roots(chain, lo, hi):
-            calls.append((lo, hi))
-            return count_roots(chain, lo, hi)
+        def spy_remainder_sequence(a, b):
+            sequences.append(remainder_sequence(a, b))
+            return sequences[-1]
 
-        monkeypatch.setattr(_realroots, "count_roots", spy_count_roots)
+        def spy_scaled_value(p, num, den):
+            signs[id(p)] += 1
+            return scaled_value(p, num, den)
+
+        monkeypatch.setattr(_realroots, "remainder_sequence", spy_remainder_sequence)
+        monkeypatch.setattr(_realroots, "_scaled_value", spy_scaled_value)
         t = turan_graph(20, 3)
         k3, k4 = complete_graph(3), complete_graph(4)
         for g, h, verdict in (
@@ -443,9 +462,20 @@ class TestCompareExact:
             # equal radii, different square-free parts: the gcd decides
             (disjoint_union(k4, k3), k4, EQUAL),
         ):
-            calls.clear()
+            sequences.clear()
+            signs.clear()
             assert compare_exact(g, h) == verdict
-            assert len(calls) <= 2
+            # one sequence per polynomial and one for the gcd g, which is
+            # only signed at the interval ends: no count, no chain
+            assert len(sequences) == 3
+            assert signs[id(sequences[-1][-1])] <= 4
+        # the gcd changes sign across K3's interval only: a certificate
+        # that looked at one interval would call these two equal
+        monkeypatch.undo()
+        ip, iq = (LargestRoot(char_poly_exact(g)) for g in (k3, disjoint_union(k3, k4)))
+        g = _realroots.remainder_sequence(ip.poly, iq.poly)[-1]
+        assert [_realroots._scaled_value(g, i.a, i.d) * _realroots._scaled_value(g, i.b, i.d) < 0
+                for i in (ip, iq)] == [True, False]
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
@@ -504,20 +534,62 @@ def _bisection_corpus():
 BISECTION_CORPUS = _bisection_corpus()
 
 
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _real_rooted(draw):
+    """A monic integer polynomial with only real roots: a product of
+    factors x - a and x^2 - b with b > 0 not a square, sometimes with
+    the factor of its largest root once more."""
+    factors = [[-a, 1] for a in draw(st.lists(st.integers(-6, 6), max_size=5))]
+    factors += [[-b, 0, 1] for b in draw(st.lists(st.sampled_from([2, 3, 5, 6, 7, 8, 10, 12]),
+                                                  max_size=2))]
+    factors = factors or [[0, 1]]
+    if draw(st.booleans()):
+        factors.append(max(factors, key=lambda f: -f[0] if len(f) == 2 else math.sqrt(-f[0])))
+    p = [1]
+    for f in factors:
+        p = _times(p, f)
+    return p
+
+
 class TestLargestRoot:
     """The integer bisection against the Fraction reference in oracles:
     the same sample points, so the same intervals at every step."""
 
-    def test_isolating_intervals_match_reference(self):
+    def test_isolating_intervals_match_reference(self, monkeypatch):
+        samples = []
+        sample_between = oracles._fraction_sample_between
+
+        def spy_sample_between(lo, hi):
+            samples.append(sample_between(lo, hi))
+            return samples[-1]
+
+        monkeypatch.setattr(oracles, "_fraction_sample_between", spy_sample_between)
         for g in BISECTION_CORPUS:
             cp = char_poly_exact(g)
+            samples.clear()
             ours, ref = LargestRoot(cp), FractionLargestRoot(cp)
             assert (ours.lo, ours.hi) == (ref.lo, ref.hi), to_graph6(g)
-            # member by member, each up to a positive factor
-            assert len(ours.chain) == len(ref.chain), to_graph6(g)
-            for a, b in zip(ours.chain, ref.chain):
-                assert [x * b[-1] for x in a] == [y * a[-1] for y in b], to_graph6(g)
-                assert a[-1] * b[-1] > 0, to_graph6(g)
+            # the square-free part, up to a positive factor
+            a, b = ours.poly, ref.poly
+            assert [x * b[-1] for x in a] == [y * a[-1] for y in b], to_graph6(g)
+            assert a[-1] * b[-1] > 0, to_graph6(g)
+            ref.refine_to(INTERVAL_WIDTH)
+            # at every point the reference bisection samples, the Descartes
+            # count is its Sturm count of the roots above that point
+            for x in samples:
+                sturm = oracles._fraction_variations(ref.chain, x) - ref.vtop
+                assert _realroots._roots_above(a, x.numerator, x.denominator) == sturm, (to_graph6(g), x)
+            # and at the start, where LargestRoot takes deg(poly) uncounted
+            start = -_realroots.root_bound(a) - Fraction(1, 3)
+            assert len(a) - 1 == oracles._fraction_variations(ref.chain, start) - ref.vtop
 
     def test_refine_to_endpoints_match_reference(self):
         widths = (Fraction(1, 3), Fraction(1, 1000), INTERVAL_WIDTH, Fraction(1, 10**30))
@@ -556,18 +628,23 @@ class TestLargestRoot:
         assert (six.sign_at(below), six.sign_at(above)) == (-1, 1)
         assert six.lo < below < above < six.hi
 
-    def test_chain_evaluated_only_until_isolation(self, monkeypatch):
-        chains, values, steps, roots = Counter(), Counter(), Counter(), []
-        variations, scaled_value = _realroots._variations, _realroots._scaled_value
+    def test_roots_counted_only_until_isolation(self, monkeypatch):
+        counts, values, steps, roots, sequences = Counter(), Counter(), Counter(), [], []
+        roots_above, scaled_value = _realroots._roots_above, _realroots._scaled_value
+        remainder_sequence = _realroots.remainder_sequence
         step, init = LargestRoot.step, LargestRoot.__init__
 
-        def spy_variations(chain, num, den):
-            chains[id(chain)] += 1
-            return variations(chain, num, den)
+        def spy_roots_above(p, s, d):
+            counts[id(p)] += 1
+            return roots_above(p, s, d)
 
         def spy_scaled_value(p, num, den):
             values[id(p)] += 1
             return scaled_value(p, num, den)
+
+        def spy_remainder_sequence(a, b):
+            sequences.append(a)
+            return remainder_sequence(a, b)
 
         def spy_step(self):
             steps[id(self)] += 1
@@ -578,33 +655,57 @@ class TestLargestRoot:
             init(self, coeffs)
             roots.append((self, steps[id(self)], FractionLargestRoot(coeffs).isolation_steps))
 
-        monkeypatch.setattr(_realroots, "_variations", spy_variations)
+        monkeypatch.setattr(_realroots, "_roots_above", spy_roots_above)
         monkeypatch.setattr(_realroots, "_scaled_value", spy_scaled_value)
+        monkeypatch.setattr(_realroots, "remainder_sequence", spy_remainder_sequence)
         monkeypatch.setattr(LargestRoot, "step", spy_step)
         monkeypatch.setattr(LargestRoot, "__init__", spy_init)
         t = turan_graph(20, 3)
-        for run in (
-            lambda: certified_radius_interval(t),
-            lambda: compare_exact(t, t.with_edge(0, 1)),
+        for run, polys, gcds in (
+            (lambda: certified_radius_interval(t), 1, 0),
+            (lambda: compare_exact(t, t.with_edge(0, 1)), 2, 1),
         ):
-            chains.clear()
-            values.clear()
-            steps.clear()
-            roots.clear()
+            for spy in (counts, values, steps, roots, sequences):
+                spy.clear()
             run()
-            assert roots
+            assert len(roots) == polys
+            # one remainder sequence per polynomial, one for a comparison's gcd
+            assert len(sequences) == polys + gcds
             for root, isolating, reference_isolating in roots:
                 later = steps[id(root)] - isolating
                 assert isolating == reference_isolating > 0 and later > 0
-                # two at construction (lo and the top), then one per isolation step
-                assert chains[id(root.chain)] == 2 + isolating
-                # each chain evaluation evaluates poly = chain[0] too; the
-                # rest are the sign tests, one per later step
-                assert values[id(root.poly)] - chains[id(root.chain)] == later
-        # equal characteristic polynomials are equal before any Sturm work
+                # no count at the start, where all deg(poly) roots lie above
+                # lo, then one count per isolation step
+                assert counts[id(root.poly)] == isolating
+                # and one sign test per later step
+                assert values[id(root.poly)] == later
+        # equal characteristic polynomials are equal before any exact work
         roots.clear()
         assert compare_exact(t, t.relabel(range(19, -1, -1))) == EQUAL
         assert roots == []
+
+    def test_gap_of_two_thirds_samples_a_sixth_above_the_midpoint(self):
+        # (lo, hi] = (-1/3, 1/3]: the midpoint 0 is an integer and the gap
+        # is not above 2/3, so the step samples 0 + (2/3)/6 = 1/9
+        assert oracles._fraction_sample_between(Fraction(-1, 3), Fraction(1, 3)) == Fraction(1, 9)
+        root = LargestRoot([0, 1])
+        root.a, root.b, root.d = -1, 1, 3
+        root.step()
+        assert (root.a, root.b, root.d) == (-3, 1, 9)
+
+    @given(_real_rooted(), _real_rooted())
+    def test_real_rooted_products_match_reference(self, p, q):
+        for width in (Fraction(1, 3), INTERVAL_WIDTH):
+            assert LargestRoot(p).refine_to(width) == FractionLargestRoot(p).refine_to(width)
+        # p * q has the larger of the two radii: EQUAL or LESS against p
+        for r in (q, _times(p, q)):
+            assert _realroots.compare_largest_roots(p, r) == fraction_compare_largest_roots(p, r)
+
+    @pytest.mark.parametrize("coeffs", [[5], [1, 0, 1], [-2, 0, 0, 1], [2, 0, 3, 0, 1]],
+                             ids=["5", "x^2+1", "x^3-2", "(x^2+1)(x^2+2)"])
+    def test_refuses_constants_and_non_real_roots(self, coeffs):
+        with pytest.raises(ValueError):
+            LargestRoot(coeffs)
 
 
 class TestTuranPerronClosed:
