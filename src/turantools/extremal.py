@@ -66,6 +66,15 @@ def _scan(graphs: Iterable[Graph]) -> tuple:
     Only radii within the tie window of the running maximum are kept;
     when more than one is left, exact polynomial comparison reduces them
     to the argmax set and ``exact`` is True.
+
+    A class whose 2-walk bound (``spectral_radius``'s ``below``) is
+    under ``lam - 2 * TIE_WINDOW`` is not power-iterated: its radius is
+    the bound, which neither raises ``lam`` nor joins the finalists.
+    Nor would its power-iterated radius have: that is a Rayleigh
+    quotient, at most about n * eps * lambda above lambda, and
+    lambda <= bound < lam - 2 * TIE_WINDOW.  So the running maximum,
+    the finalists, the exact comparisons and every returned field are
+    those of a scan that power-iterates every class.
     """
     ex, edge_best = -1, []
     lam, finalists = -math.inf, []
@@ -76,7 +85,7 @@ def _scan(graphs: Iterable[Graph]) -> tuple:
         elif m == ex:
             edge_best.append(g)
         try:
-            r = spectral_radius(g, DEFAULT_TOL).lam
+            r = spectral_radius(g, DEFAULT_TOL, below=lam - 2 * TIE_WINDOW).lam
         except NonConvergenceError as exc:
             raise NonConvergenceError(
                 f"power iteration stalled on {to_graph6(g)}: {exc}",

@@ -41,7 +41,10 @@ class SpectralResult:
 
     ``vector`` is normalized so the maximum entry is exactly 1 on the
     dominant component and zero elsewhere; ``residual`` is the
-    infinity norm of A x - lambda x for the returned vector.
+    infinity norm of A x - lambda x for the returned vector.  A result
+    cut short by ``spectral_radius``'s ``below`` holds only an upper
+    bound: ``lam`` is the bound, ``vector`` is empty, ``residual`` is
+    inf and ``iterations`` is 0.
     """
 
     lam: float
@@ -107,17 +110,45 @@ def _adjacency_matrix(g: Graph, dtype):
     return bits.astype(dtype)
 
 
-def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
+def _walk_bound(g: Graph) -> float:
+    """An upper bound on lambda from 2-walk counts, in ints until the root.
+
+    lambda^2 is the spectral radius of A^2, at most its largest row sum
+    w, and row v of A^2 sums |N(u) & N(v)| over u.  The bound is sqrt(w)
+    rounded up to a double: exact when w is a square (d on d-regular
+    graphs), else one step above ``math.sqrt``'s correctly rounded
+    value.  So ``_walk_bound(g) < x`` for a float x proves lambda < x.
+    w is below n^2, so it is exact as a double for n < 2^26.
+    """
+    adj = g.adj
+    walks = max(sum((u & v).bit_count() for u in adj) for v in adj)
+    root = math.isqrt(walks)
+    if root * root == walks:
+        return float(root)
+    return math.nextafter(math.sqrt(walks), math.inf)
+
+
+def spectral_radius(
+    g: Graph, tol: float = DEFAULT_TOL, *, below: float = -math.inf
+) -> SpectralResult:
     """Largest adjacency eigenvalue with a max-1 Perron vector.
 
     Each component is solved on its own submatrix; the result takes the
     per-component maximum and embeds the winning component's vector
-    padded with zeros.
+    padded with zeros.  A caller that needs lambda only where it
+    reaches ``below`` gets `_walk_bound` instead, with no matrix built,
+    whenever that bound already proves lambda < ``below`` (see
+    `SpectralResult`).
     """
     if not MIN_TOL <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= {MIN_TOL}, got {tol}")
+    if math.isnan(below):
+        raise ValueError("below must not be NaN")
     if g.n == 0:
         raise ValueError("spectral radius of the empty graph is undefined")
+    bound = _walk_bound(g)
+    if bound < below:
+        return SpectralResult(lam=bound, vector=(), residual=math.inf, iterations=0)
     import numpy as np
 
     a = _adjacency_matrix(g, float)

@@ -4,9 +4,9 @@ Everything here is deliberately naive: labeled exhaustion, permutation
 brute force, Leibniz determinant expansion, big-integer Faddeev-LeVerrier,
 multipartite cofactors multiplied out factor by factor, dense
 eigensolves, power iteration in plain numpy expressions, Sturm sequences
-over the rationals with Fraction bisection, branch and bound from a
-fixed start.  None of it shares code paths with the implementations
-under test.
+over the rationals with Fraction bisection, an extremal scan that
+power-iterates every class, branch and bound from a fixed start.  None
+of it shares code paths with the implementations under test.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from turantools import spectral
 from turantools.errors import NonConvergenceError
+from turantools.extremal import TIE_WINDOW
 from turantools.graphs import Graph
 from turantools.spectral import SpectralResult
 
@@ -504,6 +505,38 @@ def fraction_compare_largest_roots(p, q) -> int:
     while ip.lo < iq.hi and iq.lo < ip.hi:
         (ip if ip.width() >= iq.width() else iq).step()
     return -1 if ip.hi <= iq.lo else 1
+
+
+def scan_reference(graphs):
+    """The extremal scan with every class power-iterated: the loop of
+    ``extremal._scan`` before its 2-walk bound, on the plain-expression
+    power iteration and the Fraction/Sturm comparison of the bigint
+    characteristic polynomials.  Returns the same ``(ex, edge_members,
+    lambda_star, spectral_members, exact)`` tuple."""
+    ex, edge_best = -1, []
+    lam, finalists = -math.inf, []
+    for g in graphs:
+        if g.m > ex:
+            ex, edge_best = g.m, [g]
+        elif g.m == ex:
+            edge_best.append(g)
+        r = spectral_radius_reference(g, spectral.DEFAULT_TOL).lam
+        if r > lam:
+            lam = r
+            finalists = [c for c in finalists if c[0] >= lam - TIE_WINDOW]
+        if r >= lam - TIE_WINDOW:
+            finalists.append((r, g))
+    winners = finalists[:1]
+    for cand in finalists[1:]:
+        verdict = fraction_compare_largest_roots(
+            charpoly_faddeev_bigint(cand[1]), charpoly_faddeev_bigint(winners[0][1])
+        )
+        if verdict > 0:
+            winners = [cand]
+        elif verdict == 0:
+            winners.append(cand)
+    lam = max(w[0] for w in winners)
+    return ex, edge_best, lam, [w[1] for w in winners], len(finalists) > 1
 
 
 def exhaustive_min_internal_unseeded(g: Graph, r: int) -> list[int]:

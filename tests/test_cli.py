@@ -494,14 +494,20 @@ class TestPinnedOutputs:
              "24bdd2f36d58e94e7b0ae8714e6db06c3d30e88ecf62c46651644ed066581eab"),
             (["spectral", "--g6", "G?~vf_", "--exact", "--json"],
              "18effb6b73878f6ed4822b38e19d313d02505bb10e829e9aa1814718b80dc50c"),
+            (["verify", "--forbid", "K4", "--n-min", "4", "--n-max", "8", "--json"],
+             "2a1639d08aeb3c1df830d7583d5a2545a93ea5979fa36d58b14ca33d2020cbf4"),
+            (["extremal", "--n", "8", "--forbid", "g6:DUW", "--json"],
+             "ad5d76649badf88b776dfcb90f8feba790b8c8317afcafe6888c41d40b6b4795"),
         ],
         ids=["diagnose-T(12,3)+e-certified", "diagnose-T(13,4)+e-local",
-             "secular", "turan", "spectral-K44-exact"],
+             "secular", "turan", "spectral-K44-exact", "verify-K4-4-8", "extremal-C5-8"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         # T(12,3) plus a part edge is searched exhaustively; T(13,4) plus a
         # part edge has 4^13 > AUTO_EXHAUSTIVE_BUDGET r-assignments, so it
-        # takes the seeded local search
+        # takes the seeded local search.  The 2-walk bound spares about
+        # 95% of the classes power iteration in the two scans; C5-free at
+        # n = 8 has an exact tie
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

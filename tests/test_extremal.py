@@ -33,7 +33,7 @@ from turantools.spectral import (
     spectral_radius,
 )
 
-from oracles import canonical_graph6_relabeled, eig_max, max_edges_labeled
+from oracles import canonical_graph6_relabeled, eig_max, max_edges_labeled, scan_reference
 
 K3 = parse_forbidden("K3")
 K4 = parse_forbidden("K4")
@@ -149,8 +149,10 @@ class TestSpectralEx:
         # one float radius for every class makes each a finalist, so exact
         # comparison alone picks the argmax; the first class is edgeless,
         # and a later finalist that beats the winners replaces them
-        monkeypatch.setattr(extremal, "spectral_radius",
-                            lambda g, tol: spectral.SpectralResult(1.0, (1.0,) * g.n, 0.0, 1))
+        monkeypatch.setattr(
+            extremal, "spectral_radius",
+            lambda g, tol, below: spectral.SpectralResult(1.0, (1.0,) * g.n, 0.0, 1),
+        )
         classes = list(generate(6, K3))
         radii = [eig_max(g) for g in classes]
         top = max(radii)
@@ -175,6 +177,40 @@ class TestSpectralEx:
         for g in graphs:
             lo, hi = spectral.certified_radius_interval(g)
             assert lo - half < Fraction(spectral_radius(g, DEFAULT_TOL).lam) <= hi + half, g
+
+
+class TestWalkBoundInTheScan:
+    # the 2-walk bound skips power iteration on classes that cannot reach
+    # the tie window; every field must be the every-class scan's.  C5-free
+    # at n = 8 is an exact tie (K_{4,4} and the book K2 + 6K1 at 4)
+    @pytest.mark.parametrize(
+        "spec,n_min,n_max,tied",
+        [(F2, 5, 8, []), (K3, 3, 9, []), (parse_forbidden("g6:DUW"), 5, 8, [8]), (None, 1, 7, [])],
+        ids=["F2-5-8", "K3-3-9", "C5-5-8", "all-1-7"],
+    )
+    def test_scan_matches_the_every_class_scan(self, spec, n_min, n_max, tied):
+        exact_levels = []
+        for n, level in groupby(generate(n_max, spec, n_min=n_min), key=attrgetter("n")):
+            level = list(level)
+            ex, edge, lam, winners, exact = extremal._scan(level)
+            ref = scan_reference(level)
+            assert (ex, edge, lam.hex(), winners, exact) == (*ref[:2], ref[2].hex(), *ref[3:])
+            if exact:
+                exact_levels.append(n)
+        assert exact_levels == tied
+
+    def test_few_classes_reach_power_iteration(self, monkeypatch):
+        # 2 816 classes, 3 807 components at F2 5..8; the bound leaves 236
+        calls = []
+        real = spectral._power_iteration
+
+        def counting(sub, tol):
+            calls.append(sub.shape[0])
+            return real(sub, tol)
+
+        monkeypatch.setattr(spectral, "_power_iteration", counting)
+        verify_containment(5, 8, F2)
+        assert len(calls) <= 300
 
 
 class TestReports:

@@ -131,6 +131,54 @@ class TestSpectralRadius:
             assert np.allclose(np.array(res.vector), perron_vector(g), atol=1e-6)
 
 
+class TestWalkBound:
+    def test_bounds_the_certified_radius(self):
+        # sign_at(B) >= 0 is B >= lambda exactly, B read as the rational
+        # its double is.  Stars and K_{a,b} attain lambda = sqrt(w), so a
+        # bound rounded to nearest would fall below K_{1,3}'s sqrt(3).  The
+        # seeded graphs include disconnected ones and isolated vertices.
+        graphs = list(generate(7, n_min=1))
+        rng = random.Random(36)
+        for n in range(1, 25):
+            graphs += [random_graph(rng, n, p) for p in (0.1, 0.3, 0.6, 0.9)]
+        disconnected = [g for g in graphs if not g.is_connected()]
+        assert len(graphs) == 1252 + 96
+        assert any(g.n > 7 and 0 in g.degrees() for g in disconnected)
+        for g in graphs:
+            assert spectral.certified_radius_root(g).sign_at(spectral._walk_bound(g)) >= 0, g
+
+    @pytest.mark.parametrize(
+        "g,d",
+        [(complete_graph(6), 5), (cycle_graph(9), 2), (from_graph6("IheA@GUAo"), 3),
+         (empty_graph(3), 0)],
+        ids=["K6", "C9", "Petersen", "edgeless"],
+    )
+    def test_equals_the_degree_on_regular_graphs(self, g, d):
+        assert spectral._walk_bound(g) == d
+        assert spectral_radius(g, below=d).lam == pytest.approx(d, abs=1e-9)
+        assert spectral_radius(g, below=math.nextafter(d, math.inf)).iterations == 0
+
+    def test_below_the_bound_returns_it_without_a_matrix(self, monkeypatch):
+        # P4: every vertex has 2 or 3 two-walks, so B is sqrt(3) rounded up
+        g = path_graph(4)
+        bound = math.nextafter(math.sqrt(3), math.inf)
+        monkeypatch.setattr(spectral, "_adjacency_matrix", None)
+        res = spectral_radius(g, below=1.75)
+        assert res == spectral.SpectralResult(bound, (), math.inf, 0)
+        assert spectral_radius(g, below=math.inf).lam == bound
+
+    def test_at_or_above_the_bound_is_the_plain_solve(self):
+        classes, seeded, _ = _reference_corpus()
+        for g in classes[:1252] + seeded:
+            plain = _bits(spectral_radius(g))
+            for below in (0.0, spectral._walk_bound(g)):
+                assert _bits(spectral_radius(g, below=below)) == plain
+
+    def test_nan_below_is_refused(self):
+        with pytest.raises(ValueError, match="below"):
+            spectral_radius(complete_graph(3), below=float("nan"))
+
+
 def _bits(res):
     """Every field of a SpectralResult, bit for bit (0.0 and -0.0 differ)."""
     floats = (res.lam, res.residual, *res.vector)
