@@ -311,21 +311,32 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
  * subgraph containment (subgraph, not induced)
  * ---------------------------------------------------------------------- */
 
+/* The pattern's search plans, one per start: start k is the least vertex
+ * of the k-th automorphism orbit.  If sigma is an automorphism and a copy
+ * maps f to the anchor, composing it with sigma^-1 gives a copy that maps
+ * sigma(f) there, so one start per orbit decides the same answer.  Per
+ * search position i, need[k][i] is the degree of the pattern vertex placed
+ * there and backmask[k][i] holds the earlier positions of its neighbors.
+ * Built once per pattern, used for every anchored test. */
+typedef struct {
+    int fn, nstarts;
+    int need[MAXN][MAXN];
+    u64 backmask[MAXN][MAXN];
+} AnchoredPlan;
+
 /* Order pattern vertices from start so each has many already-placed
- * neighbors.  backmask[i] holds the positions (not vertex ids) of earlier
- * neighbors of order[i]. */
-static void pattern_order(int fn, const u64 *fadj, const int *fdegs, int start,
-                          int *order, u64 *backmask)
+ * neighbors, and fill that order's need and backmask. */
+static void pattern_order(int fn, const u64 *fadj, int start, int *need, u64 *backmask)
 {
+    int order[MAXN], filled = 1;
     u64 placed = bit(start);
-    int filled = 1;
     order[0] = start;
     while (filled < fn) {
         int best = -1, bc = -1, bd = -1;
         for (int v = 0; v < fn; v++) {
             if ((placed >> v) & 1)
                 continue;
-            int c = popcount(fadj[v] & placed), d = fdegs[v];
+            int c = popcount(fadj[v] & placed), d = popcount(fadj[v]);
             if (c > bc || (c == bc && d > bd)) {
                 best = v;
                 bc = c;
@@ -336,6 +347,7 @@ static void pattern_order(int fn, const u64 *fadj, const int *fdegs, int start,
         placed |= bit(best);
     }
     for (int i = 0; i < fn; i++) {
+        need[i] = popcount(fadj[order[i]]);
         backmask[i] = 0;
         for (int j = 0; j < i; j++)
             if ((fadj[order[i]] >> order[j]) & 1)
@@ -343,16 +355,20 @@ static void pattern_order(int fn, const u64 *fadj, const int *fdegs, int start,
     }
 }
 
-/* Depth-first search for an injection of the ordered pattern into the
- * host whose first vertex is anchor. */
-static int embed(int gn, const u64 *gadj, const int *gdegs, int fn, const int *order,
-                 const u64 *backmask, const int *fdegs, int anchor)
+/* Depth-first search for an injection of the pattern, placed by start k's
+ * plan, into the host whose first vertex is anchor.  used[top] holds the
+ * host vertices placed at positions before top. */
+static int embed(int gn, const u64 *gadj, const int *gdegs, const AnchoredPlan *plan, int k,
+                 int anchor)
 {
+    const int *need = plan->need[k];
+    const u64 *backmask = plan->backmask[k];
     int assigned[MAXN], top = 0;
-    u64 cand_stack[MAXN + 1], full = full_mask(gn);
+    u64 cand_stack[MAXN], used[MAXN], full = full_mask(gn);
     cand_stack[0] = bit(anchor);
+    used[0] = 0;
     while (top >= 0) {
-        u64 cand = cand_stack[top], nxt = full, bm;
+        u64 cand = cand_stack[top], nxt, bm;
         int v;
         if (cand == 0) {
             top--;
@@ -360,32 +376,19 @@ static int embed(int gn, const u64 *gadj, const int *gdegs, int fn, const int *o
         }
         v = lowbit(cand);
         cand_stack[top] = cand & (cand - 1);
-        if (gdegs[v] < fdegs[order[top]])
+        if (gdegs[v] < need[top])
             continue;
         assigned[top] = v;
-        if (top + 1 == fn)
+        if (top + 1 == plan->fn)
             return 1;
+        used[top + 1] = used[top] | bit(v);
+        nxt = full & ~used[top + 1];
         for (bm = backmask[top + 1]; bm; bm &= bm - 1)
             nxt &= gadj[assigned[lowbit(bm)]];
-        for (int j = 0; j <= top; j++)
-            nxt &= ~bit(assigned[j]);
         cand_stack[++top] = nxt;
     }
     return 0;
 }
-
-/* The pattern's search orders, one per start: order[k] begins with the
- * least vertex of the k-th automorphism orbit.  If sigma is an
- * automorphism and a copy maps f to the anchor, composing it with
- * sigma^-1 gives a copy that maps sigma(f) there, so one start per orbit
- * decides the same answer.  Built once per pattern, used for every
- * anchored test. */
-typedef struct {
-    int fn, nstarts;
-    int fdegs[MAXN];
-    int order[MAXN][MAXN];
-    u64 backmask[MAXN][MAXN];
-} AnchoredPlan;
 
 /* Returns -1 with MemoryError set when the pattern's labeling fails. */
 static int plan_anchored(int fn, const u64 *fadj, AnchoredPlan *plan)
@@ -396,11 +399,9 @@ static int plan_anchored(int fn, const u64 *fadj, AnchoredPlan *plan)
         return -1;
     plan->fn = fn;
     plan->nstarts = 0;
-    for (int v = 0; v < fn; v++)
-        plan->fdegs[v] = popcount(fadj[v]);
     for (int f = 0; f < fn; f++)
         if (orbits[f] == f) {
-            pattern_order(fn, fadj, plan->fdegs, f, plan->order[plan->nstarts],
+            pattern_order(fn, fadj, f, plan->need[plan->nstarts],
                           plan->backmask[plan->nstarts]);
             plan->nstarts++;
         }
@@ -415,8 +416,7 @@ static int anchored(int gn, const u64 *gadj, const AnchoredPlan *plan, int ancho
     for (int v = 0; v < gn; v++)
         gdegs[v] = popcount(gadj[v]);
     for (int k = 0; k < plan->nstarts; k++)
-        if (embed(gn, gadj, gdegs, plan->fn, plan->order[k], plan->backmask[k], plan->fdegs,
-                  anchor))
+        if (embed(gn, gadj, gdegs, plan, k, anchor))
             return 1;
     return 0;
 }

@@ -222,8 +222,8 @@ def canonical_bytes(n, adj):
 
 @lru_cache(maxsize=64)
 def _anchored_plan(fn, fadj):
-    """The pattern's degrees and its search orders, one per start: the
-    least vertex of each automorphism orbit.
+    """The search plans, one per start: the least vertex of each
+    automorphism orbit.
 
     If sigma is an automorphism of the pattern and a copy maps f to the
     anchor, composing it with sigma^-1 gives a copy that maps sigma(f)
@@ -233,13 +233,14 @@ def _anchored_plan(fn, fadj):
     """
     degs = tuple(fadj[v].bit_count() for v in range(fn))
     orbits = _CanonSearch(fn, fadj).run()[2]
-    return degs, tuple(_pattern_order(fn, fadj, degs, f) for f in range(fn) if orbits[f] == f)
+    return tuple(_pattern_order(fn, fadj, degs, f) for f in range(fn) if orbits[f] == f)
 
 
 def _pattern_order(fn, fadj, degs, start):
     """Order pattern vertices from ``start`` so each has many
-    already-placed neighbors; ``back[i]`` lists the positions of the
-    earlier neighbors of ``order[i]``."""
+    already-placed neighbors, and return that order's plan: per position
+    i, the pair ``(need, back)`` of the degree of the i-th vertex and
+    the earlier positions of its neighbors."""
     order = [start]
     placed = 1 << start
     while len(order) < fn:
@@ -252,35 +253,34 @@ def _pattern_order(fn, fadj, degs, start):
                 best, best_key = v, key
         order.append(best)
         placed |= 1 << best
-    back = tuple(tuple(j for j in range(i) if (fadj[v] >> order[j]) & 1)
+    return tuple((degs[v], tuple(j for j in range(i) if (fadj[v] >> order[j]) & 1))
                  for i, v in enumerate(order))
-    return tuple(order), back
 
 
-def _embed(gn, gadj, gdegs, fn, order, back, fdegs, anchor):
-    """Depth-first search for an injection of the ordered pattern into
-    the host whose first vertex is ``anchor``."""
+def _embed(gn, gadj, gdegs, plan, anchor):
+    """Depth-first search for an injection of the planned pattern into
+    the host whose first vertex is ``anchor``.  Each level carries
+    ``used``, the host vertices placed at earlier positions."""
     full = (1 << gn) - 1
-    assigned = [0] * fn
-    stack = [(0, 1 << anchor)]
+    assigned = [0] * len(plan)
+    stack = [(0, 1 << anchor, 0)]
     while stack:
-        pos, cand = stack[-1]
+        pos, cand, used = stack[-1]
         if cand == 0:
             stack.pop()
             continue
         v = (cand & -cand).bit_length() - 1
-        stack[-1] = (pos, cand & (cand - 1))
-        if gdegs[v] < fdegs[order[pos]]:
+        stack[-1] = (pos, cand & (cand - 1), used)
+        if gdegs[v] < plan[pos][0]:
             continue
         assigned[pos] = v
-        if pos + 1 == fn:
+        if pos + 1 == len(plan):
             return True
-        nxt = full
-        for j in back[pos + 1]:
+        used |= 1 << v
+        nxt = full & ~used
+        for j in plan[pos + 1][1]:
             nxt &= gadj[assigned[j]]
-        for j in range(pos + 1):
-            nxt &= ~(1 << assigned[j])
-        stack.append((pos + 1, nxt))
+        stack.append((pos + 1, nxt, used))
     return False
 
 
@@ -302,12 +302,8 @@ def contains_subgraph_anchored(gn, gadj, fn, fadj, anchor):
     if not 0 <= anchor < gn:
         raise ValueError(f"anchor {anchor} outside 0..{gn - 1}")
     _check_args(gn)
-    fdegs, orders = _anchored_plan(fn, tuple(fadj))
     gdegs = [gadj[v].bit_count() for v in range(gn)]
-    for order, back in orders:
-        if _embed(gn, gadj, gdegs, fn, order, back, fdegs, anchor):
-            return True
-    return False
+    return any(_embed(gn, gadj, gdegs, plan, anchor) for plan in _anchored_plan(fn, tuple(fadj)))
 
 
 # ---------------------------------------------------------------------------

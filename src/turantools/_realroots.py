@@ -178,6 +178,15 @@ class LargestRoot:
                 raise ValueError("polynomial has a non-real root")
             self.step()
 
+    @classmethod
+    def isolated(cls, poly, a, b, d):
+        """The isolator of a square-free ``poly`` with a positive lead
+        whose largest root the caller has proved to be its only root in
+        (a/d, b/d], d > 0.  Runs no remainder sequence and no counts."""
+        root = cls.__new__(cls)
+        root.poly, root.a, root.b, root.d, root.above = poly, a, b, d, 1
+        return root
+
     @property
     def lo(self):
         return Fraction(self.a, self.d)
@@ -237,8 +246,6 @@ def compare_largest_roots(p, q) -> int:
     if p == q:  # relabelled or cospectral graphs
         return 0
     ip, iq = LargestRoot(p), LargestRoot(q)
-    if ip.poly == iq.poly:
-        return 0
     g = remainder_sequence(ip.poly, iq.poly)[-1]
     if all(_scaled_value(g, i.a, i.d) * _scaled_value(g, i.b, i.d) < 0 for i in (ip, iq)):
         return 0

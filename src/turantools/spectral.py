@@ -64,35 +64,29 @@ def _power_iteration(sub, tol: float):
     ``x = (y + x) / max(y + x)`` bit for bit; ``tests/oracles.py`` keeps
     that form as ``spectral_radius_reference``.  The products go to the
     same BLAS routines (dgemv for ``A x``, ddot for the Rayleigh
-    quotient), and the buffers ``y`` and ``d`` are allocated once per
-    call.  A sweep first forms one entry, ``|y[j] - lam x[j]|``, in
+    quotient).  A sweep first forms one entry, ``|y[j] - lam x[j]|``, in
     Python floats: the same correctly rounded operations as numpy's
     elementwise ones, so it is entry j of the residual vector.  Above
     ``tol`` it proves the residual is too, and the sweep goes on without
-    the rest; otherwise the whole vector is formed as before, and j
-    moves to its largest entry.  The normaliser ``max(x.tolist())`` is
-    exact and sees no NaN: x >= 0 with max 1, so y + x >= x.
+    the rest; otherwise the whole vector is formed, and j moves to its
+    largest entry.  The normaliser ``max(x.tolist())`` is exact and sees
+    no NaN: x >= 0 with max 1, so y + x >= x.
     """
     import numpy as np
 
-    nc = sub.shape[0]
-    x = np.ones(nc)
-    y = np.empty(nc)
-    d = np.empty(nc)
+    x = np.ones(sub.shape[0])
     j = 0
     for sweep in range(1, ITERATION_CAP + 1):
-        sub.dot(x, out=y)
+        y = sub.dot(x)
         lam = float(x.dot(y)) / float(x.dot(x))
         if abs(y.item(j) - lam * x.item(j)) <= tol:
-            np.multiply(x, lam, out=d)
-            np.subtract(y, d, out=d)
-            np.absolute(d, out=d)
+            d = np.absolute(y - lam * x)
             residual = float(d.max())
             if residual <= tol:
                 return lam, x, residual, sweep
             j = int(d.argmax())
-        np.add(y, x, out=x)  # (A + I) x
-        np.divide(x, max(x.tolist()), out=x)
+        x = y + x  # (A + I) x
+        x /= max(x.tolist())
     raise NonConvergenceError(
         f"power iteration failed to reach tol={tol} in {ITERATION_CAP} sweeps",
         best=lam,
@@ -285,17 +279,26 @@ def secular_lambda(parts: Sequence[int]) -> float:
     """Largest root of sum_i n_i / (lambda + n_i) = 1, correctly rounded.
 
     This is the spectral radius of the complete multipartite graph with
-    the given part sizes, the largest root of `_quotient_poly`'s P.
-    `_realroots.LargestRoot` isolates it exactly in (lo, hi] and steps
-    until (lo, hi] is at most 1 wide, so both ends fit in a double (the
-    root is in [0, n) and n < 2^53), and then until both ends round to
-    the same double, which is then the root correctly rounded.  The
-    loop ends because the root is never halfway between two doubles: an
-    irrational root is no such point, and a rational root of a monic
-    integer polynomial is an integer, while the halfway points below
-    2^53 are not.
+    the given part sizes, the largest root of `_quotient_poly`'s P, and
+    (-1/2, n] isolates it without a count.  P is monic, and on
+    x > -min(parts) it is prod_s (x+s) > 0 times the bracket
+    1 - sum_i n_i / (x+n_i), which rises from -inf to 1 there.  So P has
+    one root there, lambda, and 0 <= lambda < n: the bracket is
+    1 - r <= 0 at 0 and positive at n.  Each of the deg P - 1 gaps
+    between consecutive poles -s holds a root too, as the bracket runs
+    from -inf to +inf across it.  So these are all of P's roots, each
+    simple: P is square-free, and its other roots lie below -1.
+    `_realroots.LargestRoot.isolated` starts on that interval and steps
+    until (lo, hi] is at most 1 wide, so both ends fit in a double
+    (n < 2^53), and then until both ends round to the same double,
+    which is then the root correctly rounded.  The loop ends because the
+    root is never halfway between two doubles: an irrational root is no
+    such point, and a rational root of a monic integer polynomial is an
+    integer, while the halfway points below 2^53 are not.
     """
-    root = _realroots.LargestRoot(_quotient_poly(_part_counts(parts)))
+    counts = _part_counts(parts)
+    n = sum(s * m for s, m in counts.items())
+    root = _realroots.LargestRoot.isolated(_quotient_poly(counts), -1, 2 * n, 2)
     while root.b - root.a > root.d or root.a / root.d != root.b / root.d:
         root.step()
     return root.b / root.d

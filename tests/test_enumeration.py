@@ -114,6 +114,9 @@ class TestGenerate:
                 (["--n", "8"], "ff71314578f47f187c3491482dc828e0972e248efe0c91750b939ce7243168c2"),
                 (["--n", "8", "--forbid", "F2"],
                  "1379823ce3042dc7fce5495ab25a75770232d5f9954d053b52f5f819b31ad0ff"),
+                # the kite: four orbit starts in its containment plan
+                (["--n", "8", "--forbid", "g6:DTw"],
+                 "7e520e91289a0a087f205ec1cbc25f0e392f188feb44b4434f7b8af9476fc25a"),
             ]
             for twin in ("python", "c")
         ] + [
@@ -121,7 +124,8 @@ class TestGenerate:
             ("c", ["--n", "10", "--forbid", "K3"],
              "935d57af1fc6a36d8404179782916daddf7519d4ebaa6ae9ff2e656fdf5fa23b"),
         ],
-        ids=["python-all-8", "c-all-8", "python-F2-8", "c-F2-8", "c-K3-10"],
+        ids=["python-all-8", "c-all-8", "python-F2-8", "c-F2-8", "python-kite-8", "c-kite-8",
+             "c-K3-10"],
         indirect=["backend"],
     )
     def test_walk_output_is_pinned(self, backend, monkeypatch, capsys, argv, digest):

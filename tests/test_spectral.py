@@ -437,6 +437,15 @@ class TestSecular:
         with pytest.raises(SizeCapError):
             secular_lambda([2**52, 2**52])
 
+    def test_starts_on_the_proved_interval(self, monkeypatch):
+        # (-1/2, n] isolates the root of a square-free P: no gcd, no count
+        def refuse(*args):
+            raise AssertionError("secular_lambda ran a remainder sequence or a count")
+
+        monkeypatch.setattr(_realroots, "remainder_sequence", refuse)
+        monkeypatch.setattr(_realroots, "_roots_above", refuse)
+        assert secular_lambda(range(1, 121)) == 7179.7780090149145
+
 
 class TestCompareExact:
     def test_bipartite_values(self):
