@@ -9,7 +9,7 @@ per-n extremal reports with certified argmax sets.
 __version__ = "0.1.0"
 
 from ._kernels import BACKEND as KERNEL_BACKEND
-from .enumeration import generate, ingest
+from .enumeration import generate
 from .extremal import (
     ExtremalReport,
     build_report,
@@ -91,7 +91,6 @@ __all__ = [
     "from_graph6",
     "generate",
     "inclusion_exclusion_bound",
-    "ingest",
     "intersecting_cliques",
     "is_free",
     "max_cut_partition",

@@ -1,5 +1,4 @@
-"""Isomorph-free graph generation via canonical augmentation, plus
-graph6 corpus ingestion.
+"""Isomorph-free graph generation via canonical augmentation.
 
 Graphs are grown from the empty graph one vertex at a time; a child
 class is kept only when some child in it has its new vertex in the
@@ -26,9 +25,9 @@ from itertools import chain
 from typing import Iterator
 
 from . import _kernels
-from .errors import ParseError, SizeCapError
-from .graphs import _G6_SPACE, Graph, canonical_form, from_graph6
-from .patterns import ForbiddenSpec, is_free
+from .errors import SizeCapError
+from .graphs import Graph
+from .patterns import ForbiddenSpec
 
 GENERATION_CAP = 10  # practical; the bitset kernels themselves allow 64
 
@@ -89,38 +88,3 @@ def generate(
         )
     levels = enumerate(_levels(n, prune, jobs), start=1)
     return (Graph.from_adj(adj) for size, level in levels if size >= n_min for adj, _ in level)
-
-
-def ingest(
-    path,
-    prune: ForbiddenSpec | None = None,
-    dedupe: bool = False,
-) -> Iterator[Graph]:
-    """Stream graphs from a newline-delimited graph6 file.
-
-    Lines may end in LF, CRLF or a lone CR.  Malformed lines raise
-    ParseError carrying the 1-based line number and the byte offset
-    from the start of the line; ``dedupe`` keeps one representative
-    per isomorphism class.
-    """
-    seen: set | None = set() if dedupe else None
-    # surrogateescape turns each non-ASCII byte into one character
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip(_G6_SPACE):
-                continue
-            if not line.isascii():
-                offset = next(i for i, ch in enumerate(line) if not ch.isascii())
-                raise ParseError("non-ASCII byte", offset=offset, line=lineno)
-            try:
-                g = from_graph6(line)
-            except ParseError as exc:
-                raise ParseError(exc.message, offset=exc.offset, line=lineno) from exc
-            if prune is not None and not is_free(g, prune):
-                continue
-            if seen is not None:
-                form = canonical_form(g)
-                if form in seen:
-                    continue
-                seen.add(form)
-            yield g

@@ -8,26 +8,17 @@ class TuranToolsError(Exception):
 
 
 class ParseError(TuranToolsError):
-    """Malformed textual input (graph6 string, forbidden-graph spec, file).
+    """Malformed textual input (graph6 string, forbidden-graph spec, part list).
 
-    ``offset`` is the byte offset inside the offending token, ``line``
-    the 1-based line number when reading a file; either may be None.
+    ``offset`` is the byte offset inside the offending token, or None.
     ``message`` is the text without the position, for a caller that
     re-raises with more context.
     """
 
-    def __init__(self, message: str, *, offset: int | None = None, line: int | None = None):
+    def __init__(self, message: str, *, offset: int | None = None):
         self.message = message
         self.offset = offset
-        self.line = line
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if offset is not None:
-            where.append(f"byte {offset}")
-        if where:
-            message = f"{message} ({', '.join(where)})"
-        super().__init__(message)
+        super().__init__(message if offset is None else f"{message} (byte {offset})")
 
 
 class SizeCapError(TuranToolsError):

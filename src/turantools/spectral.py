@@ -222,6 +222,11 @@ def _part_counts(parts: Sequence[int]) -> Counter:
     return counts
 
 
+def _times_linear(poly: list[int], s: int) -> list[int]:
+    """poly(x) * (x+s), coefficients lowest degree first."""
+    return [s * a + b for a, b in zip(poly + [0], [0] + poly)]
+
+
 def _quotient_poly(counts: Counter) -> list[int]:
     """Clear the secular equation's denominators.
 
@@ -234,15 +239,13 @@ def _quotient_poly(counts: Counter) -> list[int]:
     consecutive poles, so P has all its roots real and its largest is
     the secular root, the spectral radius.
     """
-    total = [1]
-    for s in counts:
-        total = [s * a + b for a, b in zip(total + [0], [0] + total)]
-    poly = total
+    # prod and terms cover the sizes seen so far; size s multiplies both by
+    # (x+s) and adds its own term, m_s s times the old prod (top 0 kept)
+    prod, terms = [1], [0]
     for s, m in counts.items():
-        # prod_(t!=s) (x+t) is total / (x+s), exact: the divisor is monic
-        rest = _realroots._pseudo_divmod(total, [s, 1])[0]
-        poly = [c - m * s * d for c, d in zip(poly, rest + [0])]
-    return poly
+        terms = [b + m * s * a for a, b in zip(prod + [0], _times_linear(terms, s))]
+        prod = _times_linear(prod, s)
+    return [a - b for a, b in zip(prod, terms)]
 
 
 def multipartite_char_poly(parts: Sequence[int]) -> tuple[int, ...]:
@@ -271,7 +274,7 @@ def multipartite_char_poly(parts: Sequence[int]) -> tuple[int, ...]:
     poly = _quotient_poly(counts)
     for s, m in counts.items():
         for _ in range(m - 1):
-            poly = [s * a + b for a, b in zip(poly + [0], [0] + poly)]
+            poly = _times_linear(poly, s)
     return tuple([0] * zeros + poly)
 
 

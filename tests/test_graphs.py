@@ -194,7 +194,9 @@ class TestGraph6:
             "SizeCapError: graph6 encoding supports n <= 258047, got 258048\n"), proc.stderr
 
     def test_header_prefix_stripped(self):
-        assert from_graph6(">>graph6<<D~{") == complete_graph(5)
+        # with the blanks a graph6 line may carry around it: space, tab, CR, LF
+        for text in (">>graph6<<D~{", "D~{\r", "D~{\r\n", " \tD~{\n"):
+            assert from_graph6(text) == complete_graph(5), text
 
     # Each bad argument with the byte offset its ParseError must report.
     PARSE_ERROR_OFFSETS = {
@@ -214,6 +216,8 @@ class TestGraph6:
         "A@": 1,  # n = 2 has one pair; the body's five other bits are padding
         "~~??????": 0,  # the 8-byte order (n > 258047) is refused at its header
         " ~~??????": 1,
+        "D\xe9?": 1,  # a non-ASCII body byte
+        "  D~{\xe9": 5,
     }
 
     @pytest.mark.parametrize("bad", list(PARSE_ERROR_OFFSETS))

@@ -310,7 +310,8 @@ class TestMultipartitePoly:
             r = rng.randint(1, 20)
             parts = [rng.randint(1, rng.choice([3, 15, 30])) for _ in range(r)]
             assert multipartite_char_poly(parts) == multipartite_char_poly_products(parts), parts
-        assert multipartite_char_poly([15] * 20) == multipartite_char_poly_products([15] * 20)
+        for parts in ([15] * 20, list(range(1, 60))):
+            assert multipartite_char_poly(parts) == multipartite_char_poly_products(parts)
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -438,13 +439,16 @@ class TestSecular:
             secular_lambda([2**52, 2**52])
 
     def test_starts_on_the_proved_interval(self, monkeypatch):
-        # (-1/2, n] isolates the root of a square-free P: no gcd, no count
+        # (-1/2, n] isolates the root of a square-free P: no gcd, no count;
+        # and P is built by multiplication alone, with no division
         def refuse(*args):
-            raise AssertionError("secular_lambda ran a remainder sequence or a count")
+            raise AssertionError("secular_lambda ran a remainder sequence, a count or a division")
 
         monkeypatch.setattr(_realroots, "remainder_sequence", refuse)
         monkeypatch.setattr(_realroots, "_roots_above", refuse)
+        monkeypatch.setattr(_realroots, "_pseudo_divmod", refuse)
         assert secular_lambda(range(1, 121)) == 7179.7780090149145
+        assert secular_lambda(range(1, 200)) == 19767.111254289222
 
 
 class TestCompareExact:
