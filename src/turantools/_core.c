@@ -313,8 +313,8 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
 
 /* The pattern's search plans, one per start: start k is the least vertex
  * of the k-th automorphism orbit.  If sigma is an automorphism and a copy
- * maps f to the anchor, composing it with sigma^-1 gives a copy that maps
- * sigma(f) there, so one start per orbit decides the same answer.  Per
+ * maps f to vertex gn - 1, composing it with sigma^-1 gives a copy that
+ * maps sigma(f) there, so one start per orbit decides the same answer.  Per
  * search position i, need[k][i] is the degree of the pattern vertex placed
  * there and backmask[k][i] holds the earlier positions of its neighbors.
  * Built once per pattern, used for every anchored test. */
@@ -356,16 +356,15 @@ static void pattern_order(int fn, const u64 *fadj, int start, int *need, u64 *ba
 }
 
 /* Depth-first search for an injection of the pattern, placed by start k's
- * plan, into the host whose first vertex is anchor.  used[top] holds the
+ * plan, into the host whose first vertex is gn - 1.  used[top] holds the
  * host vertices placed at positions before top. */
-static int embed(int gn, const u64 *gadj, const int *gdegs, const AnchoredPlan *plan, int k,
-                 int anchor)
+static int embed(int gn, const u64 *gadj, const int *gdegs, const AnchoredPlan *plan, int k)
 {
     const int *need = plan->need[k];
     const u64 *backmask = plan->backmask[k];
     int assigned[MAXN], top = 0;
     u64 cand_stack[MAXN], used[MAXN], full = full_mask(gn);
-    cand_stack[0] = bit(anchor);
+    cand_stack[0] = bit(gn - 1);
     used[0] = 0;
     while (top >= 0) {
         u64 cand = cand_stack[top], nxt, bm;
@@ -408,15 +407,15 @@ static int plan_anchored(int fn, const u64 *fadj, AnchoredPlan *plan)
     return 0;
 }
 
-/* Some copy of the pattern in the host uses vertex anchor; the callers
+/* Some copy of the pattern in the host uses vertex gn - 1; the callers
  * ensure 0 < plan->fn <= gn. */
-static int anchored(int gn, const u64 *gadj, const AnchoredPlan *plan, int anchor)
+static int anchored(int gn, const u64 *gadj, const AnchoredPlan *plan)
 {
     int gdegs[MAXN];
     for (int v = 0; v < gn; v++)
         gdegs[v] = popcount(gadj[v]);
     for (int k = 0; k < plan->nstarts; k++)
-        if (embed(gn, gadj, gdegs, plan, k, anchor))
+        if (embed(gn, gadj, gdegs, plan, k))
             return 1;
     return 0;
 }
@@ -612,8 +611,9 @@ static PyObject *py_canonical_bytes(PyObject *self, PyObject *args)
 }
 
 PyDoc_STRVAR(contains_subgraph_anchored_doc,
-"contains_subgraph_anchored(gn, gadj, fn, fadj, anchor)\n--\n\n"
-"True iff some copy of the pattern in the host uses ``anchor``.\n\n"
+"contains_subgraph_anchored(gn, gadj, fn, fadj)\n--\n\n"
+"True iff some copy of the pattern among host vertices\n"
+"``0..gn-1`` uses vertex ``gn - 1``.\n\n"
 "A copy is an injection of the ``fn`` pattern vertices into the first\n"
 "``gn`` host vertices that maps every pattern edge onto a host edge.\n"
 "Only the first ``gn`` rows of ``gadj`` are read, and row bits at or\n"
@@ -621,30 +621,26 @@ PyDoc_STRVAR(contains_subgraph_anchored_doc,
 "of a larger graph.  Two callers: ``augment_children``, whose parent\n"
 "is already pattern-free, so any new copy uses the new vertex, and\n"
 "``patterns.contains_subgraph``, which asks for each host vertex v\n"
-"with ``gn = v + 1`` and ``anchor = v``.");
+"with ``gn = v + 1``.");
 
 static PyObject *py_contains_subgraph_anchored(PyObject *self, PyObject *args)
 {
-    int gn, fn, anchor;
+    int gn, fn;
     u64 gadj[MAXN], fadj[MAXN];
     AnchoredPlan plan;
     PyObject *gadj_obj, *fadj_obj;
-    if (!PyArg_ParseTuple(args, "iOiOi:contains_subgraph_anchored",
-                          &gn, &gadj_obj, &fn, &fadj_obj, &anchor))
+    if (!PyArg_ParseTuple(args, "iOiO:contains_subgraph_anchored",
+                          &gn, &gadj_obj, &fn, &fadj_obj))
         return NULL;
     if (check_count(gn, "gn") < 0 || check_count(fn, "fn") < 0)
         return NULL;
     if (fn == 0 || fn > gn)
         Py_RETURN_FALSE;
-    if (anchor < 0 || anchor >= gn) {
-        PyErr_Format(PyExc_ValueError, "anchor %d outside 0..%d", anchor, gn - 1);
-        return NULL;
-    }
     if (load_adj(gadj_obj, gadj, gn) < 0 || load_adj(fadj_obj, fadj, fn) < 0)
         return NULL;
     if (plan_anchored(fn, fadj, &plan) < 0)
         return NULL;
-    return PyBool_FromLong(anchored(gn, gadj, &plan, anchor));
+    return PyBool_FromLong(anchored(gn, gadj, &plan));
 }
 
 PyDoc_STRVAR(augment_children_doc,
@@ -737,7 +733,7 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         child[n] = mask;
         for (u64 m = mask; m; m &= m - 1)
             child[lowbit(m)] |= bit(n);
-        if (fits && anchored(n + 1, child, &plan, n))
+        if (fits && anchored(n + 1, child, &plan))
             continue;
         nbytes = run_canonical(n + 1, child, order, orbits, form, NULL, NULL);
         if (nbytes < 0)

@@ -226,8 +226,8 @@ def _anchored_plan(fn, fadj):
     automorphism orbit.
 
     If sigma is an automorphism of the pattern and a copy maps f to the
-    anchor, composing it with sigma^-1 gives a copy that maps sigma(f)
-    there, so one start per orbit decides the same answer.  Memoized:
+    host's last vertex, composing it with sigma^-1 gives a copy that maps
+    sigma(f) there, so one start per orbit decides the same answer.  Memoized:
     callers pass ``fadj`` as a tuple, and a walk asks for the same few
     patterns at every candidate.
     """
@@ -257,13 +257,13 @@ def _pattern_order(fn, fadj, degs, start):
                  for i, v in enumerate(order))
 
 
-def _embed(gn, gadj, gdegs, plan, anchor):
+def _embed(gn, gadj, gdegs, plan):
     """Depth-first search for an injection of the planned pattern into
-    the host whose first vertex is ``anchor``.  Each level carries
+    the host whose first vertex is ``gn - 1``.  Each level carries
     ``used``, the host vertices placed at earlier positions."""
     full = (1 << gn) - 1
     assigned = [0] * len(plan)
-    stack = [(0, 1 << anchor, 0)]
+    stack = [(0, 1 << (gn - 1), 0)]
     while stack:
         pos, cand, used = stack[-1]
         if cand == 0:
@@ -284,8 +284,9 @@ def _embed(gn, gadj, gdegs, plan, anchor):
     return False
 
 
-def contains_subgraph_anchored(gn, gadj, fn, fadj, anchor):
-    """True iff some copy of the pattern in the host uses ``anchor``.
+def contains_subgraph_anchored(gn, gadj, fn, fadj):
+    """True iff some copy of the pattern among host vertices
+    ``0..gn-1`` uses vertex ``gn - 1``.
 
     A copy is an injection of the ``fn`` pattern vertices into the first
     ``gn`` host vertices that maps every pattern edge onto a host edge.
@@ -294,16 +295,14 @@ def contains_subgraph_anchored(gn, gadj, fn, fadj, anchor):
     of a larger graph.  Two callers: ``augment_children``, whose parent
     is already pattern-free, so any new copy uses the new vertex, and
     ``patterns.contains_subgraph``, which asks for each host vertex v
-    with ``gn = v + 1`` and ``anchor = v``.
+    with ``gn = v + 1``.
     """
     _check_args(0, gn=gn, fn=fn)
     if fn == 0 or fn > gn:
         return False
-    if not 0 <= anchor < gn:
-        raise ValueError(f"anchor {anchor} outside 0..{gn - 1}")
     _check_args(gn)
     gdegs = [gadj[v].bit_count() for v in range(gn)]
-    return any(_embed(gn, gadj, gdegs, plan, anchor) for plan in _anchored_plan(fn, tuple(fadj)))
+    return any(_embed(gn, gadj, gdegs, plan) for plan in _anchored_plan(fn, tuple(fadj)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +389,7 @@ def augment_children(n, adj, fn, fadj):
             child[v] |= newbit
             m &= m - 1
         child = tuple(child)
-        if fn and contains_subgraph_anchored(n + 1, child, fn, fadj, n):
+        if fn and contains_subgraph_anchored(n + 1, child, fn, fadj):
             continue
         form, order, orbits = canonical_labeling(n + 1, child)
         first.setdefault(form, child)

@@ -129,7 +129,7 @@ def contains_subgraph(g: Graph, pattern: Graph) -> bool:
     if pattern.n > g.n or pattern.m > g.m:
         return False
     return any(
-        _kernels.contains_subgraph_anchored(v + 1, g.adj, pattern.n, pattern.adj, v)
+        _kernels.contains_subgraph_anchored(v + 1, g.adj, pattern.n, pattern.adj)
         for v in range(pattern.n - 1, g.n)
     )
 

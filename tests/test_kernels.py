@@ -69,12 +69,14 @@ print(time.perf_counter() - start, form.hex(), *order)
 # n = 0 and 1, of edgeless graphs and of seeded G(n, p) with n <= 40,
 # augmentation of the empty graph and every class with n <= 7 with no
 # pattern, K3 and F2, and anchored containment of the patterns argv[3:]
-# at every anchor of the (n, adj) hosts listed on stdin.
+# at every vertex a of the (n, adj) hosts listed on stdin, each swapped
+# with the last vertex, where the kernels search from.
 PARITY = """
 import ast, importlib.util, random, sys
 sys.path.insert(0, sys.argv[2])
 from turantools import _core_py
 from turantools.enumeration import generate
+from turantools.graphs import Graph
 from turantools.patterns import parse_forbidden
 spec = importlib.util.spec_from_file_location("turantools._core", sys.argv[1])
 twin = importlib.util.module_from_spec(spec)
@@ -101,10 +103,12 @@ for n, adj in [(0, ())] + classes:
 hosts = ast.literal_eval(sys.stdin.read())
 for f in map(parse_forbidden, sys.argv[3:]):
     for n, adj in hosts:
-        for anchor in range(n):
-            args = (n, adj, f.graph.n, f.graph.adj, anchor)
+        for a in range(n):
+            perm = list(range(n))
+            perm[a], perm[-1] = n - 1, a
+            args = (n, Graph.from_adj(adj).relabel(perm).adj, f.graph.n, f.graph.adj)
             assert twin.contains_subgraph_anchored(*args) == _core_py.contains_subgraph_anchored(
-                *args), (f.source, adj, anchor)
+                *args), (f.source, adj, a)
 """
 
 
@@ -128,6 +132,14 @@ def _anchored_hosts():
         n = rng.randint(1, 8)
         hosts.append(random_graph(rng, n, p=rng.choice([0.4, 0.6, 0.8])))
     return hosts
+
+
+def _swap_last(g, a):
+    """g with vertices a and g.n - 1 swapped: the anchored kernels search
+    from the last vertex, so on this host they answer for vertex a."""
+    perm = list(range(g.n))
+    perm[a], perm[-1] = g.n - 1, a
+    return g.relabel(perm)
 
 
 def _symmetric_hosts():
@@ -161,6 +173,16 @@ def test_docstring_parity(core):
         doc = getattr(_core_py, name).__doc__
         assert doc, name
         assert inspect.cleandoc(getattr(core, name).__doc__) == inspect.cleandoc(doc), name
+
+
+def test_interface_parity(core):
+    # one interface for both twins: each kernel _kernels binds takes the
+    # same parameters in each, and the compiled module exports no more
+    names = {k for k, v in vars(_kernels).items() if callable(v) and not k.startswith("_")}
+    for name in names:
+        assert inspect.signature(getattr(core, name)) == inspect.signature(
+            getattr(_core_py, name)), name
+    assert {k for k in vars(core) if not k.startswith("_")} == names | {"BACKEND"}
 
 
 def test_canonical_parity_random(core):
@@ -246,31 +268,33 @@ def test_containment_parity(core):
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 9))
         f = random_graph(rng, rng.randint(1, 6))
-        anchor = rng.randrange(g.n)
+        a = rng.randrange(g.n)
+        h = _swap_last(g, a)
         assert core.contains_subgraph_anchored(
-            g.n, g.adj, f.n, f.adj, anchor
-        ) == _core_py.contains_subgraph_anchored(g.n, g.adj, f.n, f.adj, anchor)
+            h.n, h.adj, f.n, f.adj
+        ) == _core_py.contains_subgraph_anchored(h.n, h.adj, f.n, f.adj)
         # rows carrying bits at or above gn answer as if masked to gn bits
-        gn = anchor + 1
+        gn = a + 1
         masked = tuple(row & ((1 << gn) - 1) for row in g.adj[:gn])
-        at = _core_py.contains_subgraph_anchored(gn, masked, f.n, f.adj, anchor)
+        at = _core_py.contains_subgraph_anchored(gn, masked, f.n, f.adj)
         for twin in (_core_py, core):
-            assert twin.contains_subgraph_anchored(gn, g.adj, f.n, f.adj, anchor) == at
+            assert twin.contains_subgraph_anchored(gn, g.adj, f.n, f.adj) == at
 
 
 def test_anchored_containment_matches_oracle_on_symmetric_patterns(backend):
     # one start per orbit of the pattern: an embedding with start f at the
-    # anchor, composed with an automorphism, puts any vertex of f's orbit
-    # there.  A start per degree class would miss copies in the house,
-    # kite and DQw, whose degree classes hold more than one orbit.
+    # last host vertex, composed with an automorphism, puts any vertex of
+    # f's orbit there.  A start per degree class would miss copies in the
+    # house, kite and DQw, whose degree classes hold more than one orbit.
     hosts = _anchored_hosts()
     for spec in SYMMETRIC_PATTERNS:
         f = parse_forbidden(spec).graph
         for g in hosts:
-            for anchor in range(g.n):
+            for a in range(g.n):
+                h = _swap_last(g, a)
                 assert backend.contains_subgraph_anchored(
-                    g.n, g.adj, f.n, f.adj, anchor
-                ) == contains_by_injections_anchored(g, f, anchor), (spec, to_graph6(g), anchor)
+                    h.n, h.adj, f.n, f.adj
+                ) == contains_by_injections_anchored(g, f, a), (spec, to_graph6(g), a)
 
 
 def test_containment_parity_with_list_rows(core):
@@ -279,11 +303,10 @@ def test_containment_parity_with_list_rows(core):
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 8))
         f = random_graph(rng, rng.randint(1, 5))
-        anchor = rng.randrange(g.n)
-        at = _core_py.contains_subgraph_anchored(g.n, g.adj, f.n, f.adj, anchor)
+        h = _swap_last(g, rng.randrange(g.n))
+        at = _core_py.contains_subgraph_anchored(h.n, h.adj, f.n, f.adj)
         for twin in (_core_py, core):
-            assert twin.contains_subgraph_anchored(
-                g.n, list(g.adj), f.n, list(f.adj), anchor) == at
+            assert twin.contains_subgraph_anchored(h.n, list(h.adj), f.n, list(f.adj)) == at
 
 
 def test_public_containment_matches_injections(backend, monkeypatch):
@@ -380,21 +403,23 @@ CAP = "bitset kernels cap graphs at 64 vertices"
     ("canonical_labeling", (-1, ()), "n must be non-negative, got -1"),
     ("canonical_bytes", (-1, ()), "n must be non-negative, got -1"),
     ("canonical_labeling", (65, (0,) * 65), CAP),
-    ("contains_subgraph_anchored", (-1, (), -1, (), 0), "gn must be non-negative, got -1"),
-    ("contains_subgraph_anchored", (3, (6, 5, 3), -2, (), 0), "fn must be non-negative, got -2"),
-    ("contains_subgraph_anchored", (2, (2, 1), 3, (6, 5, 3), 9), False),
-    ("contains_subgraph_anchored", (3, (6, 5, 3), 0, (), -1), False),
-    ("contains_subgraph_anchored", (3, (6, 5, 3), 2, (2, 1), 3), "anchor 3 outside 0..2"),
-    ("contains_subgraph_anchored", (3, (6, 5, 3), 2, (2, 1), -1), "anchor -1 outside 0..2"),
-    ("contains_subgraph_anchored", (65, (0,) * 65, 2, (2, 1), 65), "anchor 65 outside 0..64"),
-    ("contains_subgraph_anchored", (65, (0,) * 65, 2, (2, 1), 0), CAP),
+    ("contains_subgraph_anchored", (-1, (), -1, ()), "gn must be non-negative, got -1"),
+    ("contains_subgraph_anchored", (3, (6, 5, 3), -2, ()), "fn must be non-negative, got -2"),
+    ("contains_subgraph_anchored", (2, (2, 1), 3, (6, 5, 3)), False),
+    ("contains_subgraph_anchored", (3, (6, 5, 3), 0, ()), False),
+    # no host vertex gn - 1 to search from, and patterns too large or
+    # empty for a 65-vertex host: each returns early, before the cap
+    ("contains_subgraph_anchored", (0, (), 1, (0,)), False),
+    ("contains_subgraph_anchored", (65, (0,) * 65, 66, (0,) * 66), False),
+    ("contains_subgraph_anchored", (65, (0,) * 65, 0, ()), False),
+    ("contains_subgraph_anchored", (65, (0,) * 65, 2, (2, 1)), CAP),
     ("augment_children", (-1, (), -1, ()), "n must be non-negative, got -1"),
     ("augment_children", (2, (2, 1), -1, ()), "fn must be non-negative, got -1"),
     ("augment_children", (3, (0, 0, 0), 65, (0,) * 65), CAP),
 ])
 def test_bad_arguments_match_across_twins(backend, name, args, expected):
-    # counts first, then the pattern-size early return, then the anchor,
-    # then the 64-row cap: the order and messages of the compiled twin
+    # counts first, then the pattern-size early return, then the 64-row
+    # cap: the order and messages of the compiled twin
     if expected is False:
         assert getattr(backend, name)(*args) is False
         return
@@ -470,7 +495,7 @@ def _augment_every_subset(twin, n, adj, fn, fadj):
     for mask in range(1 << n):
         child = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(adj))
         child += (mask,)
-        if fn and twin.contains_subgraph_anchored(n + 1, child, fn, fadj, n):
+        if fn and twin.contains_subgraph_anchored(n + 1, child, fn, fadj):
             continue
         form, order, orbits = twin.canonical_labeling(n + 1, child)
         first.setdefault(form, child)
