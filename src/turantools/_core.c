@@ -85,30 +85,25 @@ static int split_cell(const u64 *adj, int *lab, char *ptn, int a, int b, u64 sma
     return 1;
 }
 
-/* Coarsest equitable refinement, sequenced like the Python twin: one
- * splitter cell splits every cell, then the scan restarts. */
+/* Coarsest equitable refinement: splitter cell s splits every cell, then
+ * s goes back to the first cell after a split and on to the next cell
+ * otherwise (see the docstring of _core_py._refine). */
 static void refine(const CanonState *st, int *lab, char *ptn)
 {
-    int n = st->n, changed = 1;
-    while (changed) {
-        changed = 0;
-        for (int s = 0; s < n && !changed;) {
-            int s_end = s;
-            u64 smask = 0;
-            while (ptn[s_end])
-                s_end++;
-            for (int k = s; k <= s_end; k++)
-                smask |= bit(lab[k]);
-            for (int a = 0; a < n;) {
-                int b = a;
-                while (ptn[b])
-                    b++;
-                if (b > a && split_cell(st->adj, lab, ptn, a, b, smask))
-                    changed = 1;
-                a = b + 1;
-            }
-            s = s_end + 1;
+    int n = st->n;
+    for (int s = 0; s < n;) {
+        int next = s;
+        u64 smask = 0;
+        do
+            smask |= bit(lab[next]);
+        while (ptn[next++]);
+        for (int a = 0, b; a < n; a = b + 1) {
+            for (b = a; ptn[b]; b++)
+                ;
+            if (b > a && split_cell(st->adj, lab, ptn, a, b, smask))
+                next = 0;
         }
+        s = next;
     }
 }
 
@@ -261,17 +256,8 @@ static int run_canonical(int n, const u64 *adj, int *order_out, int *orbits_out,
                          unsigned char *form_out, int **gens_out, int *ngens_out)
 {
     CanonState st;
-    int lab[MAXN], applied = 0;
-    char ptn[MAXN];
-    if (gens_out != NULL) {
-        *gens_out = NULL;
-        *ngens_out = 0;
-    }
-    if (n <= 1) {
-        if (n == 1)
-            order_out[0] = orbits_out[0] = 0;
-        return 0;
-    }
+    int lab[MAXN] = {0}, applied = 0; /* zeroed: n may be 0 */
+    char ptn[MAXN] = {0};
     st.n = n;
     st.nbytes = (n * (n - 1) / 2 + 7) / 8;
     memcpy(st.adj, adj, (size_t)n * sizeof(u64));

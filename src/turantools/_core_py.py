@@ -54,36 +54,32 @@ def _pack_upper_triangle(n, adj, order):
 def _refine(n, adj, cells):
     """Coarsest equitable refinement of an ordered partition.
 
-    Repeatedly splits cells by neighbor counts into one splitter cell,
-    ordering subcells by ascending count.  Restarts the scan after any
-    split; the result (cells and their order) depends only on the
-    isomorphism type plus the incoming cell order, never on vertex ids.
+    Splitter cell s splits every cell by neighbor counts into it,
+    ordering subcells by ascending count.  After a split the splitter
+    goes back to the first cell, else on to the next; the result (cells
+    and their order) depends only on the isomorphism type plus the
+    incoming cell order, never on vertex ids.  An empty cell is dropped.
     """
-    cells = list(cells)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(len(cells)):
-            smask = 0
-            for v in cells[s]:
-                smask |= 1 << v
-            out = []
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
-                    continue
-                groups = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    out.append(cell)
-                else:
-                    changed = True
-                    for k in sorted(groups):
-                        out.append(groups[k])
-            if changed:
-                cells = out
-                break
+    s = 0
+    while s < len(cells):
+        smask = 0
+        for v in cells[s]:
+            smask |= 1 << v
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+            else:
+                for k in sorted(groups):
+                    out.append(groups[k])
+        s = s + 1 if len(out) == len(cells) else 0
+        cells = out
     return cells
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import ParseError, SizeCapError
-from .graphs import _G6_SPACE, Graph, _check_bitset_cap, complete_graph, from_graph6
+from .graphs import _G6_SPACE, LIST_CAP, Graph, _check_bitset_cap, complete_graph, from_graph6
 
 CHROMATIC_CAP = 12
 
@@ -81,6 +81,16 @@ def friendship_graph(k: int) -> Graph:
     return intersecting_cliques(k, 3)
 
 
+def _check_pairs(token: str, n: int):
+    """Refuse a size-only spec on n vertices with more than LIST_CAP vertex
+    pairs, before it is built: its bitset rows hold up to n bits each and
+    its edge list has at most n(n - 1)/2 entries."""
+    pairs = n * (n - 1) // 2
+    if pairs > LIST_CAP:
+        raise SizeCapError(f"size-only patterns cap n(n - 1)/2 at {LIST_CAP}, "
+                           f"got {pairs} (n = {n}) in {token!r}")
+
+
 def parse_forbidden(spec: str) -> ForbiddenSpec:
     """Parse a forbidden-graph spec string into a ForbiddenSpec.
 
@@ -91,6 +101,7 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
         s = int(m.group(1))
         if s < 2:
             raise ParseError(f"complete graph needs s >= 2 in {token!r}")
+        _check_pairs(token, s)
         return ForbiddenSpec(token, complete_graph(s), chi=s, name=token)
     if m := _F_RE.match(token):
         k, s = int(m.group(1)), int(m.group(2) or 3)
@@ -98,6 +109,7 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
             raise ParseError(f"need k >= 1 in {token!r}")
         if s < 3:
             raise ParseError(f"clique size must be >= 3 in {token!r}")
+        _check_pairs(token, 1 + k * (s - 1))
         return ForbiddenSpec(token, intersecting_cliques(k, s), chi=s, name=token)
     if token.startswith("g6:"):
         body = token[3:]

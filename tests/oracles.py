@@ -299,12 +299,12 @@ def perron_vector(g: Graph) -> np.ndarray:
 
 def spectral_radius_reference(g: Graph, tol: float) -> SpectralResult:
     """The power iteration in its plain-expression form, one temporary
-    per step, as ``spectral_radius`` ran it before its sweeps were
-    written into preallocated buffers.  Every field of the result, and
-    the ``best`` / ``iterations`` of a NonConvergenceError, is the bit
-    pattern the buffered form must reproduce.  The sweep cap is read
-    from ``turantools.spectral`` at call time, so a test that patches
-    it patches both.
+    per step, forming the whole residual vector every sweep, where
+    ``spectral_radius`` first tests one residual entry in Python floats.
+    Every field of the result, and the ``best`` / ``iterations`` of a
+    NonConvergenceError, is the bit pattern the program must reproduce.
+    The sweep cap is read from ``turantools.spectral`` at call time, so
+    a test that patches it patches both.
     """
     if not spectral.MIN_TOL <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= {spectral.MIN_TOL}, got {tol}")

@@ -350,6 +350,12 @@ class TestExitCodes:
         assert code == 4
         assert "size cap" in err
 
+    def test_size_only_pattern_over_the_pair_cap_exits_4(self, capsys):
+        code, out, err = run_cli(["verify", "--forbid", "F2,3000", "--n-min", "3",
+                                  "--n-max", "4"], capsys)
+        assert (code, out) == (4, "")
+        assert "size cap" in err and "'F2,3000'" in err
+
     @pytest.mark.parametrize(
         "parts", ["10000000,1", "99999999999999999999,1", ",".join(["1"] * 65000)],
         ids=["zeros", "past-2^53", "digits"])

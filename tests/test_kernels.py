@@ -9,6 +9,7 @@ C compiler exists, whether or not the installed package carries the
 extension.
 """
 
+import hashlib
 import inspect
 import random
 import subprocess
@@ -215,6 +216,24 @@ def test_unit_partition_refines_as_the_degree_cells():
         assert unit == _core_py._refine(g.n, g.adj, cells), g
         if len(set(degs)) <= 1:  # regular: the degree partition is equitable
             assert unit == cells, g
+
+
+# sha256 of repr(canonical_labeling(n, adj)), the triples one after
+# another, over the empty graph, every class on 1..7 vertices in the
+# order generate lists them, K24 and the edgeless graph on 24 vertices
+LABELING_SHA256 = "e4584169804c367753219fed7f7ff7b953737b27341ecb6121a4b6a1628b97b7"
+
+
+def test_labeling_is_pinned(backend):
+    # the parity tests compare the twins with each other, so a change made
+    # alike in both passes them; this compares each twin's forms, orders
+    # and orbits with the recorded digest
+    graphs = [(0, ())] + [(g.n, g.adj) for g in generate(7, n_min=1)]
+    graphs += [(24, complete_graph(24).adj), (24, (0,) * 24)]
+    digest = hashlib.sha256()
+    for n, adj in graphs:
+        digest.update(repr(backend.canonical_labeling(n, adj)).encode())
+    assert digest.hexdigest() == LABELING_SHA256
 
 
 def test_parity_under_ubsan(core_ubsan):

@@ -10,6 +10,7 @@ from turantools import patterns
 from turantools.enumeration import generate
 from turantools.errors import ParseError, SizeCapError
 from turantools.graphs import (
+    LIST_CAP,
     Graph,
     complete_graph,
     cycle_graph,
@@ -95,6 +96,21 @@ class TestParse:
         for chi in (1, 14):
             with pytest.raises(ValueError, match="outside"):
                 ForbiddenSpec("K13", k13, chi=chi)
+
+    @pytest.mark.parametrize("token", ["K2049", "F1024", "F2,1025", "F1,2049", "F2,3000"])
+    def test_size_only_spec_over_the_pair_cap_is_refused_unbuilt(self, token, monkeypatch):
+        # more than LIST_CAP vertex pairs: refused before any row or edge
+        # list exists (F2,3000 built 9 million edges in 643 MB)
+        for builder in ("complete_graph", "intersecting_cliques"):
+            monkeypatch.setattr(patterns, builder, None)
+        with pytest.raises(SizeCapError, match=r"cap n\(n - 1\)/2 at 2097152"):
+            parse_forbidden(token)
+
+    @pytest.mark.parametrize("token,n", [("K2048", 2048), ("F1023", 2047)])
+    def test_size_only_spec_at_the_pair_cap_builds(self, token, n):
+        # K2049 and F1024 (n = 2049) are the next sizes, refused above
+        assert n * (n - 1) // 2 <= LIST_CAP
+        assert parse_forbidden(token).graph.n == n
 
     def test_left_out_chi_is_computed(self):
         assert ForbiddenSpec("c5", cycle_graph(5)).chi == 3

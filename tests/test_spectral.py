@@ -99,6 +99,17 @@ class TestSpectralRadius:
             with pytest.raises(ValueError):
                 spectral_radius(complete_graph(3), tol=tol)
 
+    def test_tol_below_the_rounding_floor_is_refused_before_any_sweep(self, monkeypatch):
+        # the floor is epsilon times the 2-walk bound: K46 (bound 45)
+        # converges at MIN_TOL in one sweep, K47 (bound 46) is refused, and
+        # so is a seeded G(200, 0.3) (lambda about 60), a shape on which
+        # MIN_TOL ran all 10^6 sweeps, then raised NonConvergenceError
+        assert spectral_radius(complete_graph(46), MIN_TOL).iterations == 1
+        monkeypatch.setattr(spectral, "_adjacency_matrix", None)
+        for g in (complete_graph(47), random_graph(random.Random(19), 200, 0.3)):
+            with pytest.raises(ValueError, match="epsilon times the bound"):
+                spectral_radius(g, MIN_TOL)
+
     def test_versus_dense_eigensolve(self):
         rng = random.Random(101)
         for _ in range(150):
@@ -205,9 +216,11 @@ def _reference_corpus():
 
 
 class TestBufferedSweepsMatchReference:
-    """The buffered power iteration against the plain-expression form
-    kept in oracles: the same lambda, Perron vector, residual and sweep
-    count, bit for bit, so no digit of any report moves."""
+    """The power iteration, which tests one residual entry in Python
+    floats before it forms the whole residual, against the
+    plain-expression form kept in oracles: the same lambda, Perron
+    vector, residual and sweep count, bit for bit, so no digit of any
+    report moves."""
 
     def test_every_field_is_bit_identical(self):
         classes, seeded, long = _reference_corpus()
