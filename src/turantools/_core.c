@@ -1,5 +1,5 @@
-/* Compiled bitset kernels: canonical labeling, subgraph containment,
- * and the canonical-augmentation step.
+/* Compiled bitset kernels: canonical labeling, subgraph containment and
+ * the augmentation step's verdicts; enumeration._emit keeps the classes.
  *
  * Mirror of turantools._core_py (same functions, same semantics, same
  * deterministic choices); the test suite asserts byte parity between the
@@ -631,30 +631,30 @@ static PyObject *py_contains_subgraph_anchored(PyObject *self, PyObject *args)
 
 PyDoc_STRVAR(augment_children_doc,
 "augment_children(n, adj, fn, fadj)\n--\n\n"
-"One level of canonical augmentation.\n\n"
-"Extends the ``n``-vertex parent by a new vertex joined to every\n"
-"subset of the old vertices.  A child is a candidate iff it stays\n"
-"free of the forbidden pattern (when one is given); a class is kept\n"
-"iff some candidate in it has its new vertex in the automorphism\n"
-"orbit of its canonically-last vertex (McKay's rule), that is iff\n"
-"deleting the class's canonically-last vertex gives back the\n"
-"parent's class, so each isomorphism class comes from exactly one\n"
-"parent.  A kept class is emitted as its first candidate in subset\n"
-"order.\n\n"
+"One level of canonical augmentation: each candidate and its verdict.\n\n"
+"Extends the ``n``-vertex parent by a new vertex joined to subsets of\n"
+"the old vertices.  A child is a candidate iff it stays free of the\n"
+"forbidden pattern (when one is given), and it passes iff its new\n"
+"vertex lies in the automorphism orbit of its canonically-last vertex\n"
+"(McKay's rule).  ``enumeration._emit`` keeps a class iff one of its\n"
+"candidates passes, that is iff deleting the class's canonically-last\n"
+"vertex gives back the parent's class, so each isomorphism class\n"
+"comes from exactly one parent, and emits it as its first candidate\n"
+"in subset order.\n\n"
 "Only subsets that give the new vertex the maximum degree are tried:\n"
 "the canonically-last vertex lies in the maximum-degree cell, so the\n"
 "orbit test fails on every other child, and every candidate of a\n"
 "kept class shares its new vertex's degree e(child) - e(parent), so\n"
-"skipping the others never changes which candidate a class is\n"
-"emitted as.  So a k-subset is skipped iff k < D, the parent's\n"
-"maximum degree, or k = D and it holds a vertex of degree D, which\n"
-"its new edge lifts to D + 1 > k.\n\n"
+"skipping the others drops neither a kept class's first candidate\n"
+"nor its passing one.  So a k-subset is skipped iff k < D, the\n"
+"parent's maximum degree, or k = D and it holds a vertex of degree D,\n"
+"which its new edge lifts to D + 1 > k.\n\n"
 "Of the subsets left, only the least of each orbit under the parent's\n"
 "automorphisms is expanded.  An automorphism g of the parent, with\n"
 "the new vertex fixed, maps the child of S onto the child of g(S), so\n"
 "both get the same containment and orbit verdicts; and a class's\n"
 "first candidate is always the least subset of its orbit.\n\n"
-"Returns ``[(child_adj, child_canon), ...]`` in subset order.");
+"Returns ``[(child_adj, child_canon, passed), ...]`` in subset order.");
 
 static PyObject *py_augment_children(PyObject *self, PyObject *args)
 {
@@ -663,9 +663,7 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
     unsigned char form[MAXBYTES];
     AnchoredPlan plan;
     MaskOrbits orbs = {0, 0, NULL, NULL, NULL, 0};
-    Py_ssize_t pos = 0;
-    PyObject *adj_obj, *fadj_obj, *form_obj, *item;
-    PyObject *first = NULL, *accepted = NULL, *out = NULL;
+    PyObject *adj_obj, *fadj_obj, *passed, *item, *out = NULL;
     if (!PyArg_ParseTuple(args, "iOiO:augment_children", &n, &adj_obj, &fn, &fadj_obj))
         return NULL;
     if (n >= MAXN) {
@@ -700,13 +698,12 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         if (d == top)
             tops |= bit(v);
     }
-    first = PyDict_New(); /* form -> (child_adj, form) of its first candidate */
-    accepted = PySet_New(NULL);
     out = PyList_New(0);
-    if (first == NULL || accepted == NULL || out == NULL)
+    if (out == NULL)
         goto error;
     for (u64 mask = 0; mask < bit(n); mask++) {
-        int nbytes, rc, k = popcount(mask);
+        Py_ssize_t nbytes;
+        int k = popcount(mask);
         if (k < top || (k == top && (mask & tops)))
             continue;
         if (orbs.ngens) {
@@ -724,35 +721,17 @@ static PyObject *py_augment_children(PyObject *self, PyObject *args)
         nbytes = run_canonical(n + 1, child, order, orbits, form, NULL, NULL);
         if (nbytes < 0)
             goto error;
-        form_obj = PyBytes_FromStringAndSize((const char *)form, nbytes);
-        if (form_obj == NULL)
-            goto error;
-        rc = PyDict_Contains(first, form_obj); /* -1 stands for an error throughout */
-        if (rc == 0) {
-            PyObject *rows = rows_tuple(n + 1, child);
-            item = rows == NULL ? NULL : PyTuple_Pack(2, rows, form_obj);
-            rc = (item == NULL || PyDict_SetItem(first, form_obj, item) < 0) ? -1 : 1;
-            Py_XDECREF(rows);
+        passed = orbits[n] == orbits[order[n]] ? Py_True : Py_False;
+        item = Py_BuildValue("(Ny#O)", rows_tuple(n + 1, child), form, nbytes, passed);
+        if (item == NULL || PyList_Append(out, item) < 0) {
             Py_XDECREF(item);
+            goto error;
         }
-        if (rc > 0 && orbits[n] == orbits[order[n]])
-            rc = PySet_Add(accepted, form_obj);
-        Py_DECREF(form_obj);
-        if (rc < 0)
-            goto error;
+        Py_DECREF(item);
     }
-    while (PyDict_Next(first, &pos, &form_obj, &item)) {
-        int found = PySet_Contains(accepted, form_obj);
-        if (found < 0 || (found && PyList_Append(out, item) < 0))
-            goto error;
-    }
-    Py_DECREF(first);
-    Py_DECREF(accepted);
     free_mask_orbits(&orbs);
     return out;
 error:
-    Py_XDECREF(first);
-    Py_XDECREF(accepted);
     Py_XDECREF(out);
     free_mask_orbits(&orbs);
     return NULL;

@@ -325,26 +325,26 @@ def _mark_orbit(mask, images, seen):
 
 
 def augment_children(n, adj, fn, fadj):
-    """One level of canonical augmentation.
+    """One level of canonical augmentation: each candidate and its verdict.
 
-    Extends the ``n``-vertex parent by a new vertex joined to every
-    subset of the old vertices.  A child is a candidate iff it stays
-    free of the forbidden pattern (when one is given); a class is kept
-    iff some candidate in it has its new vertex in the automorphism
-    orbit of its canonically-last vertex (McKay's rule), that is iff
-    deleting the class's canonically-last vertex gives back the
-    parent's class, so each isomorphism class comes from exactly one
-    parent.  A kept class is emitted as its first candidate in subset
-    order.
+    Extends the ``n``-vertex parent by a new vertex joined to subsets of
+    the old vertices.  A child is a candidate iff it stays free of the
+    forbidden pattern (when one is given), and it passes iff its new
+    vertex lies in the automorphism orbit of its canonically-last vertex
+    (McKay's rule).  ``enumeration._emit`` keeps a class iff one of its
+    candidates passes, that is iff deleting the class's canonically-last
+    vertex gives back the parent's class, so each isomorphism class
+    comes from exactly one parent, and emits it as its first candidate
+    in subset order.
 
     Only subsets that give the new vertex the maximum degree are tried:
     the canonically-last vertex lies in the maximum-degree cell, so the
     orbit test fails on every other child, and every candidate of a
     kept class shares its new vertex's degree e(child) - e(parent), so
-    skipping the others never changes which candidate a class is
-    emitted as.  So a k-subset is skipped iff k < D, the parent's
-    maximum degree, or k = D and it holds a vertex of degree D, which
-    its new edge lifts to D + 1 > k.
+    skipping the others drops neither a kept class's first candidate
+    nor its passing one.  So a k-subset is skipped iff k < D, the
+    parent's maximum degree, or k = D and it holds a vertex of degree D,
+    which its new edge lifts to D + 1 > k.
 
     Of the subsets left, only the least of each orbit under the parent's
     automorphisms is expanded.  An automorphism g of the parent, with
@@ -352,7 +352,7 @@ def augment_children(n, adj, fn, fadj):
     both get the same containment and orbit verdicts; and a class's
     first candidate is always the least subset of its orbit.
 
-    Returns ``[(child_adj, child_canon), ...]`` in subset order.
+    Returns ``[(child_adj, child_canon, passed), ...]`` in subset order.
     """
     if n >= 64:
         raise ValueError("augmentation kernel caps graphs at 64 vertices")
@@ -362,8 +362,7 @@ def augment_children(n, adj, fn, fadj):
     # each generator as the image of every vertex bit, for mapping masks
     images = [[1 << g[v] for v in range(n)] for g in search.gens]
     seen = set()
-    first = {}
-    accepted = set()
+    out = []
     newbit = 1 << n
     base = list(adj) + [0]
     degs = [adj[v].bit_count() for v in range(n)]
@@ -388,7 +387,5 @@ def augment_children(n, adj, fn, fadj):
         if fn and contains_subgraph_anchored(n + 1, child, fn, fadj):
             continue
         form, order, orbits = canonical_labeling(n + 1, child)
-        first.setdefault(form, child)
-        if orbits[n] == orbits[order[n]]:
-            accepted.add(form)
-    return [(child, form) for form, child in first.items() if form in accepted]
+        out.append((child, form, orbits[n] == orbits[order[n]]))
+    return out

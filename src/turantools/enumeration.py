@@ -1,20 +1,22 @@
 """Isomorph-free graph generation via canonical augmentation.
 
-Graphs are grown from the empty graph one vertex at a time; a child
-class is kept only when some child in it has its new vertex in the
-automorphism orbit of its canonically-last vertex (McKay's rule), which
-holds iff deleting that vertex gives back the parent's class.  So each
-isomorphism class is produced exactly once with no cross-level
-bookkeeping.  Only subsets that give the new vertex the maximum degree
-are tried, since the canonically-last vertex always has the maximum
-degree and the orbit test fails on every other child, and only the
-least subset of each orbit under the parent's automorphisms, since the
-rest give isomorphic children with the same verdicts.  Pattern pruning
-cuts whole subtrees: containment is monotone under adding vertices and
-edges, so a child containing the forbidden graph can never lead to a
-free descendant.  Levels are sorted by canonical form, so classes come
-out by size and then by canonical form, and one walk serves every size
-up to the largest.
+Graphs are grown from the empty graph one vertex at a time.  The
+kernels' ``augment_children`` returns a parent's candidate children,
+each with its verdict under McKay's rule: its new vertex lies in the
+automorphism orbit of its canonically-last vertex, that is, deleting
+that vertex gives back the parent's class.  ``_emit`` keeps a class iff
+one of its candidates passes and emits it as its first candidate, so
+each isomorphism class is produced exactly once with no cross-level
+bookkeeping; it is the rule's one copy.  Only subsets that give the new
+vertex the maximum degree are tried, since the canonically-last vertex
+always has the maximum degree and the orbit test fails on every other
+child, and only the least subset of each orbit under the parent's
+automorphisms, since the rest give isomorphic children with the same
+verdicts.  Pattern pruning cuts whole subtrees: containment is monotone
+under adding vertices and edges, so a child containing the forbidden
+graph can never lead to a free descendant.  Levels are sorted by
+canonical form, so classes come out by size and then by canonical form,
+and one walk serves every size up to the largest.
 """
 
 from __future__ import annotations
@@ -32,8 +34,18 @@ from .patterns import ForbiddenSpec
 GENERATION_CAP = 10  # practical; the bitset kernels themselves allow 64
 
 
+def _emit(candidates):
+    """``[(child_adj, form), ...]``: the classes of which some candidate
+    passed, each as its first candidate, in the order given."""
+    kept = {form for _, form, passed in candidates if passed}
+    first = {}
+    for child, form, _ in candidates:
+        first.setdefault(form, child)
+    return [(child, form) for form, child in first.items() if form in kept]
+
+
 def _expand_parent(args):
-    return _kernels.augment_children(*args)
+    return _emit(_kernels.augment_children(*args))
 
 
 def _usable_cpus() -> int:

@@ -118,7 +118,7 @@ def _canonical_sorted(graphs: list[Graph]) -> list[str]:
 
 
 def _reference_note(spec: ForbiddenSpec) -> str | None:
-    if spec.name and spec.name.startswith("K"):
+    if spec.source.startswith("K"):
         return "turan-theorem"
     return "no external reference"
 

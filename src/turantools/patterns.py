@@ -22,6 +22,7 @@ from .errors import ParseError, SizeCapError
 from .graphs import _G6_SPACE, LIST_CAP, Graph, _check_bitset_cap, complete_graph, from_graph6
 
 CHROMATIC_CAP = 12
+_SIZE_DIGITS = 7  # a size of 10^7 has about 5 * 10^13 vertex pairs, far past LIST_CAP
 
 _K_RE = re.compile(r"^K(\d+)$")
 _F_RE = re.compile(r"^F(\d+)(?:,(\d+))?$")  # F<k> is F<k>,3
@@ -41,7 +42,6 @@ class ForbiddenSpec:
     source: str
     graph: Graph
     chi: int | None = None
-    name: str | None = None
 
     def __post_init__(self):
         g = self.graph
@@ -64,21 +64,31 @@ class ForbiddenSpec:
 
 
 def intersecting_cliques(k: int, s: int) -> Graph:
-    """k copies of K_s glued at a single shared vertex."""
+    """k copies of K_s glued at a single shared vertex, vertex 0."""
     if k < 1 or s < 2:
         raise ValueError(f"need k >= 1 and s >= 2, got k={k}, s={s}")
-    edges = []
-    for copy in range(k):
-        block = [0] + [1 + copy * (s - 1) + i for i in range(s - 1)]
-        edges.extend(
-            (block[i], block[j]) for i in range(s) for j in range(i + 1, s)
-        )
-    return Graph(1 + k * (s - 1), edges)
+    n = 1 + k * (s - 1)
+    rows = [(1 << n) - 2]
+    for lo in range(1, n, s - 1):  # a copy's other vertices: lo .. lo + s - 2
+        block = ((1 << (s - 1)) - 1) << lo | 1
+        rows.extend(block & ~(1 << v) for v in range(lo, lo + s - 1))
+    return Graph.from_adj(tuple(rows))
 
 
 def friendship_graph(k: int) -> Graph:
     """k triangles sharing exactly one common vertex (k=2: bowtie)."""
     return intersecting_cliques(k, 3)
+
+
+def _size(run: str) -> int:
+    """A size-only spec's digit run as an int.  A run of more than
+    _SIZE_DIGITS significant digits is past any cap, and is refused before
+    ``int()``, which refuses runs past 4 300 digits with its own message."""
+    digits = run.lstrip("0") or "0"
+    if len(digits) > _SIZE_DIGITS:
+        raise SizeCapError(f"size-only patterns cap n(n - 1)/2 at {LIST_CAP}, "
+                           f"got a size with {len(digits)} digits")
+    return int(digits)
 
 
 def _check_pairs(token: str, n: int):
@@ -98,19 +108,19 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
     """
     token = spec.strip(_G6_SPACE)
     if m := _K_RE.match(token):
-        s = int(m.group(1))
+        s = _size(m.group(1))
         if s < 2:
             raise ParseError(f"complete graph needs s >= 2 in {token!r}")
         _check_pairs(token, s)
-        return ForbiddenSpec(token, complete_graph(s), chi=s, name=token)
+        return ForbiddenSpec(token, complete_graph(s), chi=s)
     if m := _F_RE.match(token):
-        k, s = int(m.group(1)), int(m.group(2) or 3)
+        k, s = _size(m.group(1)), _size(m.group(2) or "3")
         if k < 1:
             raise ParseError(f"need k >= 1 in {token!r}")
         if s < 3:
             raise ParseError(f"clique size must be >= 3 in {token!r}")
         _check_pairs(token, 1 + k * (s - 1))
-        return ForbiddenSpec(token, intersecting_cliques(k, s), chi=s, name=token)
+        return ForbiddenSpec(token, intersecting_cliques(k, s), chi=s)
     if token.startswith("g6:"):
         body = token[3:]
         try:

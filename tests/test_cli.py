@@ -356,6 +356,23 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert "size cap" in err and "'F2,3000'" in err
 
+    @pytest.mark.parametrize("token", ["K" + "9" * 5000, "F" + "9" * 5000, "F2," + "9" * 5000],
+                             ids=["K", "Fk", "Fks"])
+    def test_size_only_pattern_past_int_digits_exits_4(self, capsys, token):
+        # past 4 300 digits int() itself refuses the run (exit 2, with
+        # advice about an interpreter setting); the digit count comes first
+        code, out, err = run_cli(["verify", "--forbid", token, "--n-min", "3", "--n-max", "4"],
+                                 capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("size cap: ") and "a size with 5000 digits" in err
+
+    @pytest.mark.parametrize("token", ["K0003", "K" + "0" * 5000 + "3"], ids=["4", "5001"])
+    def test_zero_padded_size_is_read_as_its_value(self, capsys, token):
+        argv = ["verify", "--n-min", "3", "--n-max", "5", "--forbid"]
+        k3 = run_cli(argv + ["K3"], capsys)
+        assert run_cli(argv + [token], capsys) == k3
+        assert k3[0] == 0
+
     @pytest.mark.parametrize(
         "parts", ["10000000,1", "99999999999999999999,1", ",".join(["1"] * 65000)],
         ids=["zeros", "past-2^53", "digits"])

@@ -17,6 +17,7 @@ from turantools.extremal import (
 )
 from turantools.graphs import (
     canonical_form,
+    complete_graph,
     complete_multipartite,
     cycle_graph,
     from_graph6,
@@ -238,6 +239,14 @@ class TestReports:
             "spectral_extremal", "contained", "excess", "turan_edges",
             "lambda_exact", "reference",
         }
+
+    def test_reference_is_read_from_the_source(self):
+        # a spec built by hand gets its reference from its source, as a
+        # parsed K<s> does; graph6 sources start with "g6:"
+        k3 = patterns.ForbiddenSpec("K3", complete_graph(3))
+        assert build_report(4, k3).reference == "turan-theorem"
+        assert build_report(4, parse_forbidden("g6:BW")).reference == "no external reference"
+        assert build_report(5, F2).reference == "no external reference"
 
     def test_verify_containment_triangle(self):
         reports = verify_containment(3, 6, K3)

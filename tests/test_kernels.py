@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from turantools import _core_py, _kernels, patterns
-from turantools.enumeration import generate
+from turantools.enumeration import _emit, generate
 from turantools.graphs import (
     Graph,
     complete_graph,
@@ -357,9 +357,9 @@ def test_augment_parity(core):
             assert core.augment_children(g.n, g.adj, fn, fadj) == _core_py.augment_children(
                 g.n, g.adj, fn, fadj
             ), (g, fn)
-    # the empty parent, the root of the walk: K1, unless a one-vertex
-    # pattern forbids every vertex
-    for fn, fadj, children in [(0, (), [((0,), b"")]), (1, (0,), [])]:
+    # the empty parent, the root of the walk: K1, which passes, unless a
+    # one-vertex pattern forbids every vertex
+    for fn, fadj, children in [(0, (), [((0,), b"", True)]), (1, (0,), [])]:
         assert core.augment_children(0, (), fn, fadj) == children
         assert _core_py.augment_children(0, (), fn, fadj) == children
 
@@ -500,36 +500,64 @@ def test_class_is_emitted_as_its_first_candidate(backend, parent, kept, naive):
     # subset order fails the orbit test, a later isomorphic one passes,
     # and the class is still emitted as the first candidate
     g = from_graph6(parent)
-    children = backend.augment_children(7, g.adj, 0, ())
-    children = {to_graph6(Graph.from_adj(adj)) for adj, _ in children}
+    raw = backend.augment_children(7, g.adj, 0, ())
+    children = {to_graph6(Graph.from_adj(adj)) for adj, _ in _emit(raw)}
     assert kept <= children
     assert not naive & children
+    # in the raw list, each kept child fails the orbit test and comes
+    # before an isomorphic naive child that passes
+    labeled = [(to_graph6(Graph.from_adj(adj)), form, passed) for adj, form, passed in raw]
+    for at, (g6, form, passed) in enumerate(labeled):
+        if g6 in kept:
+            assert not passed
+            assert any(later in naive and ok for later, f, ok in labeled[at + 1:] if f == form)
 
 
 def _augment_every_subset(twin, n, adj, fn, fadj):
-    """augment_children without the max-degree prefilter: every subset
-    gets the containment test, then the orbit rule and the per-parent
-    first-candidate dict."""
-    first, accepted = {}, set()
+    """augment_children without the max-degree prefilter or the orbit
+    skip: every subset gets the containment test, then each candidate
+    its orbit-test verdict, in subset order."""
+    candidates = []
     for mask in range(1 << n):
         child = tuple(row | (1 << n) if (mask >> v) & 1 else row for v, row in enumerate(adj))
         child += (mask,)
         if fn and twin.contains_subgraph_anchored(n + 1, child, fn, fadj):
             continue
         form, order, orbits = twin.canonical_labeling(n + 1, child)
-        first.setdefault(form, child)
-        if orbits[n] == orbits[order[n]]:
-            accepted.add(form)
-    return [(child, form) for form, child in first.items() if form in accepted]
+        candidates.append((child, form, orbits[n] == orbits[order[n]]))
+    return candidates
 
 
 @pytest.mark.parametrize("forbid", [None, "F2", "K3"])
 def test_augment_matches_every_subset_loop(backend, forbid):
+    # the prefilter and the orbit skip drop no class's first candidate
+    # and no class's only passing ones, so both lists emit the same
     spec = parse_forbidden(forbid) if forbid else None
     fn, fadj = (spec.graph.n, spec.graph.adj) if spec else (0, ())
     for g in [g for n in range(1, 7) for g in generate(n, spec)] + _symmetric_hosts():
-        expected = _augment_every_subset(backend, g.n, g.adj, fn, fadj)
-        assert backend.augment_children(g.n, g.adj, fn, fadj) == expected, g
+        expected = _emit(_augment_every_subset(backend, g.n, g.adj, fn, fadj))
+        assert _emit(backend.augment_children(g.n, g.adj, fn, fadj)) == expected, g
+
+
+# sha256 of repr(_emit(augment_children(n, adj, fn, fadj))), one list
+# after another, over every parent of three walks in the order they
+# expand them: unpruned to 7 vertices, F2-free to 8 and K3-free to 9
+EMITTED_SHA256 = "9d9f6ae61d1bd0e0f4f6a6d0af03dac2027a15917c8a02518d9a23743f6aef86"
+
+
+def test_emitted_lists_are_pinned(backend):
+    # the parity and every-subset tests compare each twin with another
+    # list, so a change made alike in both passes them; this compares the
+    # classes each twin emits, and the candidate each is emitted as, with
+    # the recorded digest
+    digest = hashlib.sha256()
+    for forbid, n in [(None, 7), ("F2", 8), ("K3", 9)]:
+        spec = parse_forbidden(forbid) if forbid else None
+        fn, fadj = (spec.graph.n, spec.graph.adj) if spec else (0, ())
+        parents = [(0, ())] + [(g.n, g.adj) for g in generate(n - 1, spec, n_min=1)]
+        for pn, padj in parents:
+            digest.update(repr(_emit(backend.augment_children(pn, padj, fn, fadj))).encode())
+    assert digest.hexdigest() == EMITTED_SHA256
 
 
 def test_augment_labels_only_top_degree_children(monkeypatch):

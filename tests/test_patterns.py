@@ -53,6 +53,18 @@ class TestParse:
         assert (spec.graph.n, spec.graph.m) == (7, 12)
         assert (spec.chi, spec.r) == (4, 3)
 
+    def test_intersecting_cliques_rows_match_the_edge_list(self):
+        # each block's rows are built directly; the edge list of every
+        # block's pairs is the construction they replace
+        for k in range(1, 5):
+            for s in range(2, 6):
+                edges = []
+                for copy in range(k):
+                    block = [0] + [1 + copy * (s - 1) + i for i in range(s - 1)]
+                    edges += itertools.combinations(block, 2)
+                assert intersecting_cliques(k, s) == Graph(1 + k * (s - 1), edges), (k, s)
+            assert intersecting_cliques(1, s) == complete_graph(s)
+
     def test_g6_spec(self):
         spec = parse_forbidden("g6:" + to_graph6(cycle_graph(5)))
         assert (spec.chi, spec.r) == (3, 2)
@@ -105,6 +117,26 @@ class TestParse:
             monkeypatch.setattr(patterns, builder, None)
         with pytest.raises(SizeCapError, match=r"cap n\(n - 1\)/2 at 2097152"):
             parse_forbidden(token)
+
+    @pytest.mark.parametrize(
+        "token,digits",
+        [("K" + "9" * 5000, 5000), ("F" + "9" * 5000, 5000), ("F2," + "9" * 5000, 5000),
+         ("K10000000", 8), ("F1,010000000", 8), ("F10000000,2", 8)],
+        ids=["K-5000", "Fk-5000", "Fks-5000", "K-8", "Fks-8-padded", "Fk-8-bad-s"])
+    def test_size_past_seven_digits_is_refused_before_int(self, token, digits):
+        # int() refuses a run past 4 300 digits with its own message; a
+        # size past 7 significant digits is over the pair cap whatever the
+        # spec, so the run is counted first, even where another check fails
+        assert 10**7 * (10**7 - 1) // 2 > LIST_CAP
+        with pytest.raises(SizeCapError, match=f"got a size with {digits} digits"):
+            parse_forbidden(token)
+
+    @pytest.mark.parametrize("token", ["K0003", "K" + "0" * 5000 + "3"], ids=["K-4", "K-5001"])
+    def test_leading_zeros_are_not_counted(self, token):
+        spec = parse_forbidden(token)
+        assert spec.source == token
+        assert (spec.graph, spec.chi) == (complete_graph(3), 3)
+        assert parse_forbidden("F" + "0" * 5000 + "2,04").graph == intersecting_cliques(2, 4)
 
     @pytest.mark.parametrize("token,n", [("K2048", 2048), ("F1023", 2047)])
     def test_size_only_spec_at_the_pair_cap_builds(self, token, n):
