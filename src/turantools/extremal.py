@@ -117,10 +117,10 @@ def _canonical_sorted(graphs: list[Graph]) -> list[str]:
     return sorted(canonical_form(g).graph6() for g in graphs)
 
 
-def _reference_note(spec: ForbiddenSpec) -> str | None:
-    if spec.source.startswith("K"):
-        return "turan-theorem"
-    return "no external reference"
+def _reference_note(spec: ForbiddenSpec) -> str:
+    """Turan's theorem covers exactly the complete patterns, however spelled."""
+    g = spec.graph
+    return "turan-theorem" if 2 * g.m == g.n * (g.n - 1) else "no external reference"
 
 
 def _report(n: int, spec: ForbiddenSpec, graphs: Iterable[Graph]) -> ExtremalReport:

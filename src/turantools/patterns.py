@@ -2,10 +2,13 @@
 
 The spec grammar, also used verbatim on the command line:
 
-* ``K<s>``      complete graph on s >= 2 vertices
-* ``F<k>``      k triangles sharing exactly one common vertex
+* ``K<s>``      complete graph on s >= 2 vertices, i.e. ``F1,<s>``
+* ``F<k>``      k triangles sharing exactly one common vertex, ``F<k>,3``
 * ``F<k>,<s>``  k copies of K_s (s >= 3) sharing a single vertex
-* ``g6:<str>``  arbitrary graph given as graph6
+* ``g6:<str>``  arbitrary graph given as graph6, named by its text
+
+A size-only spec is named by its canonical spelling, without leading
+zeros: ``K<s>`` when k = 1, else ``F<k>`` when s = 3, else ``F<k>,<s>``.
 
 Containment is subgraph containment (not induced): G contains F iff
 some injection of V(F) into V(G) maps every edge of F onto an edge of
@@ -19,13 +22,12 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import ParseError, SizeCapError
-from .graphs import _G6_SPACE, LIST_CAP, Graph, _check_bitset_cap, complete_graph, from_graph6
+from .graphs import _G6_SPACE, LIST_CAP, Graph, _check_bitset_cap, from_graph6
 
 CHROMATIC_CAP = 12
-_SIZE_DIGITS = 7  # a size of 10^7 has about 5 * 10^13 vertex pairs, far past LIST_CAP
+_SIZE_DIGITS = len(str(LIST_CAP))
 
-_K_RE = re.compile(r"^K(\d+)$")
-_F_RE = re.compile(r"^F(\d+)(?:,(\d+))?$")  # F<k> is F<k>,3
+_SIZE_RE = re.compile(r"^(?:K(\d+)|F(\d+)(?:,(\d+))?)$")  # K<s> is F1,<s>; F<k> is F<k>,3
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,11 @@ def friendship_graph(k: int) -> Graph:
 
 
 def _size(run: str) -> int:
-    """A size-only spec's digit run as an int.  A run of more than
-    _SIZE_DIGITS significant digits is past any cap, and is refused before
-    ``int()``, which refuses runs past 4 300 digits with its own message."""
+    """A size-only spec's digit run as an int.  A run of more significant
+    digits than LIST_CAP has is a size above LIST_CAP, and k >= 1 copies
+    of K_s, s >= 2, have n >= max(k + 1, s) vertices and n(n - 1)/2 >= n
+    pairs, so it is past the pair cap whatever the spec.  It is refused
+    before ``int()``, which refuses runs past 4 300 digits itself."""
     digits = run.lstrip("0") or "0"
     if len(digits) > _SIZE_DIGITS:
         raise SizeCapError(f"size-only patterns cap n(n - 1)/2 at {LIST_CAP}, "
@@ -107,20 +111,16 @@ def parse_forbidden(spec: str) -> ForbiddenSpec:
     Only space, tab, CR and LF around the spec are ignored, as in graph6.
     """
     token = spec.strip(_G6_SPACE)
-    if m := _K_RE.match(token):
-        s = _size(m.group(1))
-        if s < 2:
-            raise ParseError(f"complete graph needs s >= 2 in {token!r}")
-        _check_pairs(token, s)
-        return ForbiddenSpec(token, complete_graph(s), chi=s)
-    if m := _F_RE.match(token):
-        k, s = _size(m.group(1)), _size(m.group(2) or "3")
+    if m := _SIZE_RE.match(token):
+        k, s = _size(m[2] or "1"), _size(m[1] or m[3] or "3")
+        s_min = 2 if m[1] else 3
         if k < 1:
             raise ParseError(f"need k >= 1 in {token!r}")
-        if s < 3:
-            raise ParseError(f"clique size must be >= 3 in {token!r}")
+        if s < s_min:
+            raise ParseError(f"clique size must be >= {s_min} in {token!r}")
         _check_pairs(token, 1 + k * (s - 1))
-        return ForbiddenSpec(token, intersecting_cliques(k, s), chi=s)
+        name = f"K{s}" if k == 1 else f"F{k}" if s == 3 else f"F{k},{s}"
+        return ForbiddenSpec(name, intersecting_cliques(k, s), chi=s)
     if token.startswith("g6:"):
         body = token[3:]
         try:

@@ -535,6 +535,27 @@ class TestPinnedOutputs:
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "spellings,n_min,n_max,digest",
+        [
+            (["K3", "K0003", "F1", "F1,3", "F01,003"], "3", "6",
+             "16a8c5778a50c5033c6614b5209248e6c39732863abf8449cbf299a63aa1e348"),
+            (["F2", "F2,3", "F02"], "5", "7",
+             "6393d2ecb6b9975f19052267177a4b902af75dd3b70964c0ad1b8c97e170577b"),
+            (["F2,4", "F2,04", "F002,4"], "5", "7",
+             "9a9ebf5818c8818aa23402d3c515ab5652f29f3d47452d684bcb13bab0f5bb05"),
+        ],
+        ids=["K3", "F2", "F2,4"],
+    )
+    def test_every_spelling_prints_one_report(self, capsys, spellings, n_min, n_max, digest):
+        # one pattern, one document: the spec field is the canonical
+        # spelling and the reference is read from the graph
+        for token in spellings:
+            code, out, _ = run_cli(["verify", "--forbid", token, "--n-min", n_min,
+                                    "--n-max", n_max, "--json"], capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest, token
+
 
 def test_closed_stdout_ends_quietly():
     # a reader that stops after one line (``| head -1``): exit 0, nothing

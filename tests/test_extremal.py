@@ -240,13 +240,15 @@ class TestReports:
             "lambda_exact", "reference",
         }
 
-    def test_reference_is_read_from_the_source(self):
-        # a spec built by hand gets its reference from its source, as a
-        # parsed K<s> does; graph6 sources start with "g6:"
-        k3 = patterns.ForbiddenSpec("K3", complete_graph(3))
-        assert build_report(4, k3).reference == "turan-theorem"
-        assert build_report(4, parse_forbidden("g6:BW")).reference == "no external reference"
-        assert build_report(5, F2).reference == "no external reference"
+    def test_reference_is_read_from_the_graph(self):
+        # Turan's theorem covers exactly the complete patterns, whatever
+        # their spelling or source: F1 is K3 and g6:C~ is K4
+        triangle = patterns.ForbiddenSpec("triangle", complete_graph(3))
+        for spec in (triangle, parse_forbidden("F1"), parse_forbidden("g6:C~")):
+            assert build_report(4, spec).reference == "turan-theorem"
+        c5 = patterns.ForbiddenSpec("K-free", cycle_graph(5))
+        for spec in (c5, parse_forbidden("g6:BW"), F2):
+            assert build_report(5, spec).reference == "no external reference"
 
     def test_verify_containment_triangle(self):
         reports = verify_containment(3, 6, K3)

@@ -1,6 +1,7 @@
 """The package's export list, its import cost and its build script."""
 
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -126,3 +127,24 @@ def test_distribution_version_is_the_package_version(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == turantools.__version__
+
+
+def _readme_commands():
+    """The ``turantools ...`` lines of README's "Command line" block, split
+    as the shell would; every other line of the block is blank or a comment."""
+    section = (ROOT / "README.md").read_text().split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line and not line.startswith("#")]
+    assert all(line.startswith("turantools ") for line in lines), lines
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_command_lines_run(tmp_path):
+    # each example runs as printed, from an empty directory, and exits 0
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "turantools", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 0, (argv, proc.stderr)

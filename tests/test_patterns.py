@@ -112,9 +112,9 @@ class TestParse:
     @pytest.mark.parametrize("token", ["K2049", "F1024", "F2,1025", "F1,2049", "F2,3000"])
     def test_size_only_spec_over_the_pair_cap_is_refused_unbuilt(self, token, monkeypatch):
         # more than LIST_CAP vertex pairs: refused before any row or edge
-        # list exists (F2,3000 built 9 million edges in 643 MB)
-        for builder in ("complete_graph", "intersecting_cliques"):
-            monkeypatch.setattr(patterns, builder, None)
+        # list exists (F2,3000 built 9 million edges in 643 MB); every
+        # size-only spec is built by intersecting_cliques
+        monkeypatch.setattr(patterns, "intersecting_cliques", None)
         with pytest.raises(SizeCapError, match=r"cap n\(n - 1\)/2 at 2097152"):
             parse_forbidden(token)
 
@@ -134,9 +134,21 @@ class TestParse:
     @pytest.mark.parametrize("token", ["K0003", "K" + "0" * 5000 + "3"], ids=["K-4", "K-5001"])
     def test_leading_zeros_are_not_counted(self, token):
         spec = parse_forbidden(token)
-        assert spec.source == token
-        assert (spec.graph, spec.chi) == (complete_graph(3), 3)
+        assert (spec.source, spec.graph, spec.chi) == ("K3", complete_graph(3), 3)
         assert parse_forbidden("F" + "0" * 5000 + "2,04").graph == intersecting_cliques(2, 4)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_every_spelling_of_a_pattern_parses_alike(self, k):
+        # K<s> is F1,<s> and F<k> is F<k>,3; each (k, s) is named by one
+        # canonical spelling, whatever the zero padding
+        for s in range(2 if k == 1 else 3, 7):
+            name = f"K{s}" if k == 1 else f"F{k}" if s == 3 else f"F{k},{s}"
+            shapes = ["F{k},{s}"] * (s >= 3) + ["K{s}"] * (k == 1) + ["F{k}"] * (s == 3)
+            for shape, kz, sz in itertools.product(shapes, range(3), range(3)):
+                token = shape.format(k="0" * kz + str(k), s="0" * sz + str(s))
+                spec = parse_forbidden(token)
+                assert (spec.source, spec.graph, spec.chi) == (
+                    name, intersecting_cliques(k, s), s), token
 
     @pytest.mark.parametrize("token,n", [("K2048", 2048), ("F1023", 2047)])
     def test_size_only_spec_at_the_pair_cap_builds(self, token, n):
